@@ -35,9 +35,6 @@ from repro.runtime.protocol import Protocol
 from repro.runtime.scheduler import Scheduler
 from repro.substrates.spanning_tree import BFSSpanningTree, SpanningTreeProtocol
 
-Predicate = Callable[[RootedNetwork, Configuration], bool]
-
-
 @dataclass(frozen=True)
 class StabilizationSample:
     """One measured execution of a layered protocol."""
@@ -82,8 +79,7 @@ class StabilizationSample:
 def measure_layered_stabilization(
     network: RootedNetwork,
     protocol: Protocol,
-    substrate_predicate: Predicate,
-    full_predicate: Predicate,
+    substrate: Protocol,
     daemon: Daemon | None = None,
     seed: int | None = None,
     max_steps: int | None = None,
@@ -97,9 +93,12 @@ def measure_layered_stabilization(
 ) -> StabilizationSample:
     """Run ``protocol`` from an arbitrary configuration and time both predicates.
 
-    ``substrate_predicate`` / ``full_predicate`` are evaluated after every
-    computation step; the recorded time is the first step (and round) after
-    which the predicate held continuously until the end of the run.  The run
+    ``substrate`` is the layer stack under the orientation layer (a sub-stack
+    of ``protocol``).  After every computation step the scheduler's
+    :class:`~repro.runtime.legitimacy.LegitimacyMonitor` answers whether the
+    substrate's layers, and whether all of ``protocol``'s layers, are
+    legitimate; the recorded time is the first step (and round) after which
+    the predicate held continuously until the end of the run.  The run
     ends as soon as the full predicate has held for a full-wave closure window
     of consecutive steps or the step budget is exhausted.  ``configuration``
     overrides the (default: arbitrary) starting configuration.  ``observers``
@@ -139,17 +138,18 @@ def measure_layered_stabilization(
         closure_window = 3 * (network.n + network.num_edges()) + 10
         held_for = 0
 
+        monitor = scheduler.legitimacy
+
         def observe() -> None:
             nonlocal substrate_step, substrate_round, full_step, full_round, held_for
-            config = scheduler.configuration
-            if substrate_predicate(network, config):
+            if monitor.legitimate(substrate):
                 if substrate_step is None:
                     substrate_step = scheduler.steps_executed
                     substrate_round = scheduler.rounds_completed
             else:
                 substrate_step = None
                 substrate_round = None
-            if full_predicate(network, config):
+            if monitor.legitimate():
                 if full_step is None:
                     full_step = scheduler.steps_executed
                     full_round = scheduler.rounds_completed
@@ -165,6 +165,8 @@ def measure_layered_stabilization(
                 break
             observe()
 
+        # Confirm the final verdicts against the reference predicates.
+        monitor.audit()
         converged = full_step is not None
         sample = StabilizationSample(
             protocol=label or protocol.name,
@@ -246,14 +248,7 @@ def measure_dftno(
     """
     protocol = build_dftno()
     token = protocol.base
-    overlay = protocol.overlay
     rng = random.Random(seed)
-
-    def substrate(net: RootedNetwork, config: Configuration) -> bool:
-        return token.legitimate(net, config)
-
-    def full(net: RootedNetwork, config: Configuration) -> bool:
-        return token.legitimate(net, config) and overlay.legitimate(net, config)
 
     configuration = None
     if after_substrate:
@@ -262,8 +257,7 @@ def measure_dftno(
     return measure_layered_stabilization(
         network,
         protocol,
-        substrate,
-        full,
+        token,
         daemon=daemon,
         seed=seed,
         max_steps=max_steps,
@@ -307,12 +301,6 @@ def measure_stno(
     tree_protocol = overlay.tree_layer
     rng = random.Random(seed)
 
-    def substrate(net: RootedNetwork, config: Configuration) -> bool:
-        return tree_protocol.legitimate(net, config)
-
-    def full(net: RootedNetwork, config: Configuration) -> bool:
-        return tree_protocol.legitimate(net, config) and overlay.legitimate(net, config)
-
     configuration = None
     if after_substrate:
         configuration = presettled_substrate_configuration(network, protocol, tree_protocol, rng)
@@ -320,8 +308,7 @@ def measure_stno(
     return measure_layered_stabilization(
         network,
         protocol,
-        substrate,
-        full,
+        tree_protocol,
         daemon=daemon,
         seed=seed,
         max_steps=max_steps,

@@ -166,7 +166,7 @@ def exp_f1_figure_3_1_1(seed: int = 3) -> dict[str, object]:
         seed=seed,
         record_trace=True,
     )
-    scheduler.run(max_steps=400, stop_predicate=lambda s: s.protocol.legitimate(s.network, s.configuration))
+    scheduler.run(max_steps=400, stop_predicate=lambda s: s.legitimacy.legitimate())
 
     events: list[dict[str, object]] = []
     for event in scheduler.trace.events():

@@ -34,6 +34,7 @@ from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action, StatementFn
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
+from repro.runtime.legitimacy import LocalLegitimacy
 from repro.runtime.processor import ProcessorView
 from repro.runtime.variables import VariableSpec, int_variable, map_variable
 from repro.substrates import token_circulation as tc
@@ -188,6 +189,10 @@ class DFTNO(HookingLayer):
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """The orientation part of ``L_NO``: SP1 and SP2 hold."""
         return self._specification.holds(network, configuration)
+
+    def local_legitimacy(self, network: RootedNetwork) -> LocalLegitimacy:
+        """SP1 and SP2 as local terms (see :meth:`OrientationSpecification.local_legitimacy`)."""
+        return self._specification.local_legitimacy(network)
 
     def expected_names(self, network: RootedNetwork) -> dict[int, int]:
         """The names DFTNO converges to: the deterministic DFS preorder index."""

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from repro.core.chordal import ChordalOrientation, chordal_edge_label
 from repro.graphs.network import RootedNetwork
 from repro.runtime.configuration import Configuration
+from repro.runtime.legitimacy import LocalLegitimacy
+from repro.runtime.processor import ProcessorView
 
 #: Shared-variable name of the node label ``eta_p`` (both DFTNO and STNO).
 VAR_NAME = "no_eta"
@@ -121,12 +123,66 @@ class OrientationSpecification:
         return SpecificationReport(sp1=sp1, sp2=sp2, violations=tuple(violations))
 
     def holds(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """Whether ``SP_NO`` holds (SP1 and SP2 simultaneously)."""
-        return self.check(network, configuration).holds
+        """Whether ``SP_NO`` holds (SP1 and SP2 simultaneously).
+
+        Agrees with :meth:`check` but stops at the first violation and builds
+        no report.
+        """
+        if not self.sp1_holds(network, configuration):
+            return False
+        # SP1 holds, so every name is an in-range int.
+        modulus = self.effective_modulus(network)
+        get = configuration.get
+        name_variable = self.name_variable
+        for node in network.nodes():
+            labels = get(node, self.labels_variable)
+            if not isinstance(labels, dict):
+                return False
+            name = get(node, name_variable)
+            for neighbor in network.neighbors(node):
+                if labels.get(neighbor) != (name - get(neighbor, name_variable)) % modulus:
+                    return False
+        return True
 
     def sp1_holds(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        """Whether SP1 alone (unique in-range names) holds."""
-        return self.check(network, configuration).sp1
+        """Whether SP1 alone (unique in-range names) holds; SP2 is not evaluated."""
+        modulus = self.effective_modulus(network)
+        seen: set[int] = set()
+        for node in network.nodes():
+            name = configuration.get(node, self.name_variable)
+            if not isinstance(name, int) or not 0 <= name < modulus or name in seen:
+                return False
+            seen.add(name)
+        return True
+
+    def local_legitimacy(self, network: RootedNetwork) -> LocalLegitimacy:
+        """``SP_NO`` as per-processor terms for the legitimacy monitor.
+
+        A processor counts an out-of-range (or non-int) name for SP1, or a
+        wrong edge-label map for SP2; its in-range name is its key, so the
+        aggregate's key collisions are SP1's duplicate names.  The default
+        aggregate accepts when nothing is counted and no name repeats.
+        """
+        modulus = self.effective_modulus(network)
+        name_variable = self.name_variable
+        labels_variable = self.labels_variable
+
+        def term(view: ProcessorView) -> tuple[tuple[int, int], int | None]:
+            name = view.read(name_variable)
+            if not isinstance(name, int) or not 0 <= name < modulus:
+                return (1, 0), None
+            labels = view.read(labels_variable)
+            if not isinstance(labels, dict):
+                return (0, 1), name
+            for neighbor in view.neighbors:
+                other = view.read_neighbor(neighbor, name_variable)
+                # A non-int neighbor name fails SP1 at the neighbor; any
+                # count here keeps the term a function of the neighbourhood.
+                if not isinstance(other, int) or labels.get(neighbor) != (name - other) % modulus:
+                    return (0, 1), name
+            return (0, 0), name
+
+        return LocalLegitimacy(term)
 
     # ------------------------------------------------------------------
     # Extraction

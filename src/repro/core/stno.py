@@ -40,6 +40,7 @@ from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action
 from repro.runtime.composition import LayeredProtocol
 from repro.runtime.configuration import Configuration
+from repro.runtime.legitimacy import LocalLegitimacy
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
 from repro.runtime.variables import VariableSpec, int_variable, map_variable
@@ -235,6 +236,10 @@ class STNO(Protocol):
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """The orientation part of ``L_NO``: SP1 and SP2 hold."""
         return self._specification.holds(network, configuration)
+
+    def local_legitimacy(self, network: RootedNetwork) -> LocalLegitimacy:
+        """SP1 and SP2 as local terms (see :meth:`OrientationSpecification.local_legitimacy`)."""
+        return self._specification.local_legitimacy(network)
 
     def expected_names(
         self, network: RootedNetwork, parents: dict[int, int | None] | None = None

@@ -7,10 +7,14 @@ sharded frontier exchange sound.  This pass checks the contract at review
 time, before any scheduler runs:
 
 * every ``Action(name, guard, statement, ...)`` construction (and every
-  composition ``hooks()`` mapping) is located in the protocol sources;
-* guards and statements -- plus every same-module helper they call with the
-  view -- are walked through the :class:`~repro.runtime.processor.ProcessorView`
-  API surface;
+  composition ``hooks()`` mapping) is located in the protocol sources, and so
+  is every ``LocalLegitimacy(term, ...)`` -- a layer's per-node legitimacy
+  predicate, which the legitimacy monitor re-evaluates around changed nodes
+  exactly as the incremental scheduler re-evaluates guards;
+* guards, local predicates and statements -- plus every same-module helper
+  they call with the view -- are walked through the
+  :class:`~repro.runtime.processor.ProcessorView` API surface, local
+  predicates under the guard rules;
 * violations are reported as :class:`~repro.lint.findings.Finding` objects
   with rule ids ``RL001``..``RL006`` (see
   :data:`~repro.lint.findings.RULES`).
@@ -69,6 +73,16 @@ _RNG_METHODS = {
 }
 
 _DISABLE_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9,\s]+)")
+
+
+def _callee_name(call: ast.Call) -> str | None:
+    """``f`` for ``f(...)`` and ``obj.f(...)`` calls; ``None`` otherwise."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
 
 
 def _first_view_param(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> str | None:
@@ -370,7 +384,7 @@ class _FunctionChecker(ast.NodeVisitor):
         self,
         analyzer: "_Analyzer",
         scope: _Scope,
-        kind: str,  # "guard" | "statement"
+        kind: str,  # "guard" | "predicate" | "statement"
         view_param: str | None,
         summary: ActionSummary,
         visited: set[tuple[str, int, str]] | None = None,
@@ -378,6 +392,10 @@ class _FunctionChecker(ast.NodeVisitor):
         self.analyzer = analyzer
         self.scope = scope
         self.kind = kind
+        # Guards and local predicates are both pure reads of the closed
+        # neighborhood; statements are the only writers.
+        self.reads_only = kind != "statement"
+        self.label = "local predicate" if kind == "predicate" else kind
         self.view_param = view_param
         self.summary = summary
         # Per-action: a helper shared by two actions must contribute its
@@ -407,12 +425,12 @@ class _FunctionChecker(ast.NodeVisitor):
             and node.value.id == self.view_param
             and node.attr.startswith("_")
         ):
-            if self.kind == "guard":
+            if self.reads_only:
                 self.analyzer.report(
                     "RL004",
                     node,
                     self.scope,
-                    f"guard reaches into the view's private state "
+                    f"{self.label} reaches into the view's private state "
                     f"(`{self.view_param}.{node.attr}`), bypassing the neighbor-checked "
                     f"read API",
                     self.summary,
@@ -439,7 +457,7 @@ class _FunctionChecker(ast.NodeVisitor):
             and func.value.id == self.view_param
         ):
             handled_attr = self._check_view_call(node, func)
-        if self.kind == "guard":
+        if self.reads_only:
             self._check_purity(node, func)
         if not handled_attr:
             self._maybe_recurse(node, func)
@@ -448,13 +466,13 @@ class _FunctionChecker(ast.NodeVisitor):
     def _check_view_call(self, node: ast.Call, func: ast.Attribute) -> bool:
         method = func.attr
         if method == "write":
-            if self.kind == "guard":
+            if self.reads_only:
                 self.analyzer.report(
                     "RL001",
                     node,
                     self.scope,
-                    f"guard calls `{self.view_param}.write(...)`: guards must be pure "
-                    f"predicates over the configuration",
+                    f"{self.label} calls `{self.view_param}.write(...)`: {self.label}s must "
+                    f"be pure predicates over the configuration",
                     self.summary,
                 )
             name = self._variable_argument(node, 0)
@@ -466,7 +484,7 @@ class _FunctionChecker(ast.NodeVisitor):
             name = self._variable_argument(node, _READ_METHODS[method])
             if name is not None:
                 neighbor = method in ("read_neighbor", "try_read_neighbor")
-                if self.kind == "guard":
+                if self.reads_only:
                     bucket = (
                         self.summary.guard_reads_neighbor
                         if neighbor
@@ -508,7 +526,7 @@ class _FunctionChecker(ast.NodeVisitor):
                 "RL002",
                 node,
                 self.scope,
-                f"guard calls `{func.id}(...)`: guards must not perform I/O",
+                f"{self.label} calls `{func.id}(...)`: {self.label}s must not perform I/O",
                 self.summary,
             )
             return
@@ -519,7 +537,8 @@ class _FunctionChecker(ast.NodeVisitor):
                     "RL002",
                     node,
                     self.scope,
-                    f"guard calls `{owner}.{func.attr}(...)`: guards must not perform I/O",
+                    f"{self.label} calls `{owner}.{func.attr}(...)`: {self.label}s must not "
+                    f"perform I/O",
                     self.summary,
                 )
                 return
@@ -530,7 +549,7 @@ class _FunctionChecker(ast.NodeVisitor):
                     "RL003",
                     node,
                     self.scope,
-                    f"guard calls `{owner}.{func.attr}(...)`: guards must be "
+                    f"{self.label} calls `{owner}.{func.attr}(...)`: {self.label}s must be "
                     f"deterministic in the configuration",
                     self.summary,
                 )
@@ -633,15 +652,7 @@ class _Analyzer:
                 for node in ast.walk(function):
                     if not isinstance(node, ast.Call):
                         continue
-                    callee = node.func
-                    callee_name = (
-                        callee.id
-                        if isinstance(callee, ast.Name)
-                        else callee.attr
-                        if isinstance(callee, ast.Attribute)
-                        else None
-                    )
-                    if callee_name not in _VARIABLE_FACTORIES:
+                    if _callee_name(node) not in _VARIABLE_FACTORIES:
                         continue
                     name: str | None = None
                     if node.args:
@@ -665,11 +676,11 @@ class _Analyzer:
                 for node in ast.walk(function):
                     if not isinstance(node, ast.Call):
                         continue
-                    callee = node.func
-                    if isinstance(callee, ast.Name) and callee.id == "Action":
+                    callee_name = _callee_name(node)
+                    if callee_name == "Action":
                         self._check_action_call(node, inner, resolver)
-                    elif isinstance(callee, ast.Attribute) and callee.attr == "Action":
-                        self._check_action_call(node, inner, resolver)
+                    elif callee_name == "LocalLegitimacy":
+                        self._check_local_legitimacy_call(node, inner)
                 if function.name == "hooks":
                     self._check_hooks(function, inner, resolver)
 
@@ -702,6 +713,25 @@ class _Analyzer:
                 statement_expr, scope, "statement", summary
             )
         self.summaries.append(summary)
+
+    def _check_local_legitimacy_call(self, node: ast.Call, scope: _Scope) -> None:
+        """A layer's local legitimacy predicate: checked under the guard rules."""
+        term_expr = node.args[0] if node.args else None
+        for keyword in node.keywords:
+            if keyword.arg == "term":
+                term_expr = keyword.value
+        if term_expr is None:
+            return
+        summary = ActionSummary(
+            module=scope.index.path,
+            owner=scope.class_name or "<module>",
+            action="legitimacy",
+            line=node.lineno,
+        )
+        summary.statement_resolved = True  # a predicate has no statement
+        summary.guard_resolved = self._check_callable(term_expr, scope, "predicate", summary)
+        if summary.guard_resolved:
+            self.summaries.append(summary)
 
     def _check_hooks(
         self, function: ast.FunctionDef, scope: _Scope, resolver: _Resolver
@@ -797,8 +827,9 @@ def lint_paths(paths: Iterable[str | Path]) -> list[Finding]:
 
 #: Protocol name -> the source modules that define its layers.  Used by the
 #: ``repro-campaign run --lint`` pre-flight to lint exactly the substrates a
-#: grid references.  Token circulation rides along with every stack that can
-#: reference its variables cross-module (the DFS overlay does).
+#: grid references, plus the SP_NO module whose local predicate both
+#: orientation layers share.  Token circulation rides along with every stack
+#: that can reference its variables cross-module (the DFS overlay does).
 def modules_for_protocols(protocols: Iterable[str]) -> list[Path]:
     import repro.core.dftno
     import repro.core.specification
@@ -807,14 +838,20 @@ def modules_for_protocols(protocols: Iterable[str]) -> list[Path]:
     import repro.substrates.token_circulation
 
     by_protocol = {
-        "dftno": (repro.core.dftno, repro.substrates.token_circulation),
+        "dftno": (
+            repro.core.dftno,
+            repro.core.specification,
+            repro.substrates.token_circulation,
+        ),
         "stno-bfs": (
             repro.core.stno,
+            repro.core.specification,
             repro.substrates.spanning_tree,
             repro.substrates.token_circulation,
         ),
         "stno-dfs": (
             repro.core.stno,
+            repro.core.specification,
             repro.substrates.spanning_tree,
             repro.substrates.token_circulation,
         ),

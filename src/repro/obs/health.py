@@ -225,13 +225,11 @@ class HealthMonitor(Observer):
 
     @staticmethod
     def _legitimate(source: Any) -> bool | None:
-        protocol = getattr(source, "protocol", None)
-        network = getattr(source, "network", None)
-        configuration = getattr(source, "configuration", None)
-        if protocol is None or network is None or configuration is None:
+        monitor = getattr(source, "legitimacy", None)
+        if monitor is None:
             return None
         try:
-            return bool(protocol.legitimate(network, configuration))
+            return monitor.legitimate()
         except Exception:
             return None
 

@@ -171,16 +171,17 @@ class ConvergenceTelemetryObserver(Observer):
     def _legitimacy(source: Any) -> int | None:
         """0/1 legitimacy of the source's current configuration (or ``None``).
 
-        Substrates may additionally expose ``convergence_distance(network,
-        configuration)``; :meth:`_distance` reads it when present.
+        Read from the source's legitimacy monitor (``scheduler.legitimacy``);
+        sources without one, such as the message-passing simulator, give
+        ``None``.  Substrates may additionally expose
+        ``convergence_distance(network, configuration)``; :meth:`_distance`
+        reads it when present.
         """
-        protocol = getattr(source, "protocol", None)
-        network = getattr(source, "network", None)
-        configuration = getattr(source, "configuration", None)
-        if protocol is None or network is None or configuration is None:
+        monitor = getattr(source, "legitimacy", None)
+        if monitor is None:
             return None
         try:
-            return int(bool(protocol.legitimate(network, configuration)))
+            return int(monitor.legitimate())
         except Exception:  # a partial stack mid-scenario must not kill the run
             return None
 

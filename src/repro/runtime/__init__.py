@@ -16,7 +16,8 @@ in:
 * the :class:`~repro.runtime.scheduler.Scheduler` drives executions, counts
   steps, moves and rounds, detects convergence to a legitimacy predicate and
   records traces (:mod:`~repro.runtime.scheduler`, :mod:`~repro.runtime.trace`,
-  :mod:`~repro.runtime.metrics`);
+  :mod:`~repro.runtime.metrics`); its legitimacy verdicts are maintained per
+  layer from local predicates (:mod:`~repro.runtime.legitimacy`);
 * transient faults are modeled by starting from arbitrary configurations or by
   corrupting variables mid-execution (:mod:`~repro.runtime.faults`).
 """
@@ -25,6 +26,7 @@ from repro.runtime.variables import VariableSpec, int_variable, pointer_variable
 from repro.runtime.configuration import Configuration
 from repro.runtime.actions import Action
 from repro.runtime.processor import ProcessorView
+from repro.runtime.legitimacy import LegitimacyMonitor, LocalLegitimacy
 from repro.runtime.protocol import Protocol
 from repro.runtime.composition import LayeredProtocol, HookedComposition, HookingLayer
 from repro.runtime.daemon import (
@@ -57,6 +59,8 @@ __all__ = [
     "Action",
     "ProcessorView",
     "Protocol",
+    "LocalLegitimacy",
+    "LegitimacyMonitor",
     "LayeredProtocol",
     "HookedComposition",
     "HookingLayer",

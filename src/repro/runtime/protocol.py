@@ -10,6 +10,7 @@ from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action, BatchAction
 from repro.runtime.configuration import Configuration
+from repro.runtime.legitimacy import LocalLegitimacy
 from repro.runtime.variables import VariableSpec
 
 
@@ -92,8 +93,26 @@ class Protocol(ABC):
         """
         return ()
 
+    def local_legitimacy(self, network: RootedNetwork) -> LocalLegitimacy | None:
+        """This layer's :meth:`legitimate` split into local terms plus an aggregate.
+
+        Optional: the default (no decomposition) makes the scheduler's
+        :class:`~repro.runtime.legitimacy.LegitimacyMonitor` call
+        :meth:`legitimate` itself.  A layer that returns a
+        :class:`~repro.runtime.legitimacy.LocalLegitimacy` must agree with
+        :meth:`legitimate` on every configuration, and its term may read only
+        the processor's closed neighbourhood and its own layer's variables.
+        Reference data the predicate compares against (true distances, the
+        reference tree) is computed here, once per network.
+        """
+        return None
+
     def layers(self) -> tuple["Protocol", ...]:
-        """The protocol layers this protocol is composed of (itself by default)."""
+        """The protocol layers this protocol is composed of (itself by default).
+
+        A composition is legitimate exactly when each of its layers is, which
+        is what lets the legitimacy monitor keep one verdict per layer.
+        """
         return (self,)
 
     def validate(self, network: RootedNetwork) -> None:

@@ -34,6 +34,7 @@ from repro.obs.instrument import (
 from repro.runtime.actions import Action
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import Daemon, DistributedDaemon
+from repro.runtime.legitimacy import LegitimacyMonitor
 from repro.runtime.metrics import ExecutionMetrics
 from repro.runtime.observers import MetricsObserver, Observer, TraceObserver, dispatch_safely
 from repro.runtime.processor import ProcessorView
@@ -280,6 +281,12 @@ class Scheduler:
         # *membership* (or the frozen set) actually changes.
         self._enabled_order: tuple[int, ...] | None = None
         self._enabled_members: frozenset[int] | None = None
+
+        #: The run's legitimacy verdicts, per layer, maintained off the
+        #: configuration's change journal; every legitimacy question about
+        #: the run (the run loops, the stabilization harness, the scenario
+        #: runner, telemetry and health) is answered here.
+        self.legitimacy = LegitimacyMonitor(self)
 
         # The one point where an observer can still see the *initial*
         # configuration (the flight recorder captures it here).
@@ -632,14 +639,16 @@ class Scheduler:
 
         The returned :class:`RunResult` also reports the first step/round at
         which the protocol's legitimacy predicate became true and stayed true
-        for the rest of the observed execution.
+        for the rest of the observed execution.  Legitimacy is read from
+        :attr:`legitimacy` after every step; the final verdict is audited
+        against the layers' reference predicates once per run.
         """
         first_legitimate_step: int | None = None
         first_legitimate_round: int | None = None
 
         def note_legitimacy() -> None:
             nonlocal first_legitimate_step, first_legitimate_round
-            if self.protocol.legitimate(self.network, self.configuration):
+            if self.legitimacy.legitimate():
                 if first_legitimate_step is None:
                     first_legitimate_step = self._step_index
                     first_legitimate_round = self._round_index
@@ -660,9 +669,11 @@ class Scheduler:
             if stop_predicate is not None and stop_predicate(self):
                 converged = True
 
+        # The result's verdict is confirmed against the reference predicates.
+        legitimate = self.legitimacy.audit()
         if terminated:
             # A terminated (silent) execution trivially converged if legitimate.
-            converged = converged or self.protocol.legitimate(self.network, self.configuration)
+            converged = converged or legitimate
 
         return RunResult(
             steps=self._step_index,
@@ -693,9 +704,7 @@ class Scheduler:
 
         result = self.run(
             max_steps=max_steps,
-            stop_predicate=lambda scheduler: scheduler.protocol.legitimate(
-                scheduler.network, scheduler.configuration
-            ),
+            stop_predicate=lambda scheduler: scheduler.legitimacy.legitimate(),
         )
         if not result.converged:
             if raise_on_failure:
@@ -717,13 +726,11 @@ class Scheduler:
                     terminated = True
                     break
                 confirmed += 1
-                if not self.protocol.legitimate(self.network, self.configuration):
+                if not self.legitimacy.legitimate():
                     # Closure violated: keep running until legitimate again.
                     inner = self.run(
                         max_steps=max_steps,
-                        stop_predicate=lambda scheduler: scheduler.protocol.legitimate(
-                            scheduler.network, scheduler.configuration
-                        ),
+                        stop_predicate=lambda scheduler: scheduler.legitimacy.legitimate(),
                     )
                     stabilization_step = inner.first_legitimate_step
                     stabilization_round = inner.first_legitimate_round
@@ -741,7 +748,7 @@ class Scheduler:
                 moves=self.metrics.moves,
                 rounds=self._round_index,
                 terminated=terminated,
-                converged=self.protocol.legitimate(self.network, self.configuration),
+                converged=self.legitimacy.audit(),
                 first_legitimate_step=stabilization_step,
                 first_legitimate_round=stabilization_round,
                 configuration=self.configuration.copy(),

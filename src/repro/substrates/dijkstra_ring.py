@@ -19,6 +19,7 @@ from repro.errors import ProtocolError
 from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action, BatchAction
 from repro.runtime.configuration import Configuration
+from repro.runtime.legitimacy import LocalLegitimacy
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
 from repro.runtime.variables import VariableSpec, int_variable
@@ -178,6 +179,22 @@ class DijkstraTokenRing(Protocol):
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
         """Mutual exclusion: exactly one privilege in the ring."""
         return len(self.privileged(network, configuration)) == 1
+
+    def local_legitimacy(self, network: RootedNetwork) -> LocalLegitimacy:
+        """Per-node privilege; the aggregate requires exactly one in the ring."""
+        order = ring_order(network)
+        predecessor_of = {node: order[index - 1] for index, node in enumerate(order)}
+        root = network.root
+
+        def term(view: ProcessorView) -> tuple[tuple[int], None]:
+            node = view.node
+            same = view.read(VAR_COUNTER) == view.read_neighbor(predecessor_of[node], VAR_COUNTER)
+            return (int(same if node == root else not same),), None
+
+        def accept(totals: Sequence[int], duplicates: int) -> bool:
+            return totals[0] == 1
+
+        return LocalLegitimacy(term, accept)
 
 
 __all__ = ["DijkstraTokenRing", "ring_order", "VAR_COUNTER"]

@@ -27,6 +27,7 @@ from repro.graphs.network import RootedNetwork
 from repro.graphs.properties import is_tree
 from repro.runtime.actions import Action
 from repro.runtime.configuration import Configuration
+from repro.runtime.legitimacy import LocalLegitimacy
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
 from repro.runtime.variables import VariableSpec, enum_variable
@@ -206,6 +207,23 @@ class PIFWave(Protocol):
             if above == FEEDBACK and own != FEEDBACK:
                 return False
         return True
+
+    def local_legitimacy(self, network: RootedNetwork) -> LocalLegitimacy:
+        """Per-node wave consistency against the tree parents, computed once per network."""
+        parents = self._parents(network)
+
+        def term(view: ProcessorView) -> tuple[tuple[int], None]:
+            own = view.read(VAR_PHASE)
+            parent = parents.get(view.node)
+            if parent is None:
+                return (int(own == FEEDBACK),), None
+            above = view.read_neighbor(parent, VAR_PHASE)
+            wrong = (own == BROADCAST and above != BROADCAST) or (
+                above == FEEDBACK and own != FEEDBACK
+            )
+            return (int(wrong),), None
+
+        return LocalLegitimacy(term)
 
 
 __all__ = ["PIFWave", "CLEAN", "BROADCAST", "FEEDBACK", "VAR_PHASE"]

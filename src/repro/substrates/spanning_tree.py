@@ -36,6 +36,7 @@ from repro.graphs.properties import bfs_distances
 from repro.runtime.actions import Action, BatchAction
 from repro.runtime.composition import HookedComposition, HookingLayer
 from repro.runtime.configuration import Configuration
+from repro.runtime.legitimacy import LocalLegitimacy
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
 from repro.runtime.variables import VariableSpec, int_variable, pointer_variable
@@ -277,6 +278,28 @@ class BFSSpanningTree(SpanningTreeProtocol):
                 return False
         return True
 
+    def local_legitimacy(self, network: RootedNetwork) -> LocalLegitimacy:
+        """Per-node check against the true distances, computed once per network."""
+        truth = bfs_distances(network)
+        root = network.root
+
+        def term(view: ProcessorView) -> tuple[tuple[int], None]:
+            node = view.node
+            parent = view.read(VAR_BFS_PARENT)
+            if view.read(VAR_BFS_DIST) != truth[node]:
+                wrong = True
+            elif node == root:
+                wrong = parent is not None
+            else:
+                wrong = (
+                    parent is None
+                    or parent not in view.network.neighbor_set(node)
+                    or truth[parent] != truth[node] - 1
+                )
+            return (int(wrong),), None
+
+        return LocalLegitimacy(term)
+
 
 def dfs_tree_parents(network: RootedNetwork) -> dict[int, int | None]:
     """Reference DFS-tree parents of the deterministic port-order traversal."""
@@ -338,6 +361,15 @@ class _DFSTreeOverlay(HookingLayer):
         return all(
             configuration.get(node, VAR_DFS_PARENT) == reference[node] for node in network.nodes()
         )
+
+    def local_legitimacy(self, network: RootedNetwork) -> LocalLegitimacy:
+        """Per-node check against the reference DFS tree, computed once per network."""
+        reference = dfs_tree_parents(network)
+
+        def term(view: ProcessorView) -> tuple[tuple[int], None]:
+            return (int(view.read(VAR_DFS_PARENT) != reference[view.node]),), None
+
+        return LocalLegitimacy(term)
 
 
 class DFSSpanningTree(SpanningTreeProtocol):

@@ -57,6 +57,7 @@ from typing import Sequence
 from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action
 from repro.runtime.configuration import Configuration
+from repro.runtime.legitimacy import LocalLegitimacy
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
 from repro.runtime.variables import VariableSpec, enum_variable, int_variable, pointer_variable
@@ -439,6 +440,56 @@ class DepthFirstTokenCirculation(Protocol):
         if any_active_non_root and configuration.get(root, VAR_STATE) != ACTIVE:
             return False
         return len(self.token_holders(network, configuration)) <= 1
+
+    def local_legitimacy(self, network: RootedNetwork) -> LocalLegitimacy:
+        """``L_TC`` as local terms: per-node stack consistency plus three counts.
+
+        A processor counts ``(inconsistent, holds token, active non-root,
+        inactive root)``.  It is inconsistent when its level exceeds ``n - 1``,
+        when it is the root with a parent or a non-zero level, when its
+        accepted delegation was accepted from someone else, or when it is an
+        active non-root processor not stacked under its parent.  The aggregate
+        accepts with no inconsistency, at most one token holder, and an
+        active root whenever any non-root processor is active.
+        """
+        max_level = network.n - 1
+
+        def term(view: ProcessorView) -> tuple[tuple[int, int, int, int], None]:
+            node = view.node
+            neighbors = view.network.neighbor_set(node)
+            level = view.read(VAR_LEVEL)
+            inconsistent = level > max_level
+            active = view.read(VAR_STATE) == ACTIVE
+            holder = False
+            if active:
+                child = view.read(VAR_CHILD)
+                if child is None or child not in neighbors:
+                    holder = True
+                elif view.read_neighbor(child, VAR_STATE) != ACTIVE:
+                    holder = True
+                elif view.read_neighbor(child, VAR_PARENT) != node:
+                    inconsistent = True
+            if view.is_root:
+                if view.read(VAR_PARENT) is not None or level != 0:
+                    inconsistent = True
+                return (int(inconsistent), int(holder), 0, int(not active)), None
+            if active and not inconsistent:
+                parent = view.read(VAR_PARENT)
+                inconsistent = (
+                    parent is None
+                    or parent not in neighbors
+                    or view.read_neighbor(parent, VAR_STATE) != ACTIVE
+                    or view.read_neighbor(parent, VAR_CHILD) != node
+                    or view.read_neighbor(parent, VAR_WAVE) != view.read(VAR_WAVE)
+                    or level != view.read_neighbor(parent, VAR_LEVEL) + 1
+                )
+            return (int(inconsistent), int(holder), int(active), 0), None
+
+        def accept(totals: Sequence[int], duplicates: int) -> bool:
+            inconsistent, holders, active_non_root, inactive_root = totals
+            return not inconsistent and holders <= 1 and not (active_non_root and inactive_root)
+
+        return LocalLegitimacy(term, accept)
 
     # ------------------------------------------------------------------
     # Introspection helpers used by experiments and by DFTNO

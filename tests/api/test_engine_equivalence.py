@@ -7,7 +7,9 @@ seed, the ``scheduler`` engine (dirty frontier re-evaluation), the
 the ``scheduler-sharded`` engine (k node blocks with frontier exchange and a
 coordinator-held cross-shard daemon) must produce **identical** executions --
 the same enabled set before every step, the same :class:`StepRecord` stream,
-the same metrics, and the same final configuration.
+the same metrics, the same final configuration, and the same legitimacy
+timeline -- stabilization step/round and closure verdict included, each
+equal to the reference predicate's.
 
 These tests drive every substrate x daemon combination (and every library
 scenario, which exercises the mid-run mutation paths: ``set_configuration``,
@@ -33,6 +35,7 @@ from repro.core.stno import build_stno
 from repro.graphs import generators
 from repro.runtime.arrayview import HAVE_NUMPY
 from repro.runtime.daemon import make_daemon
+from repro.runtime.observers import Observer
 from repro.runtime.scheduler import Scheduler
 from repro.scenarios.library import build_scenario, scenario_names
 from repro.scenarios.runner import ScenarioRunner
@@ -415,3 +418,131 @@ def test_scenario_executions_are_identical_across_cores(scenario_name, shards):
         ).run()
     assert reports["reference"].as_row() == reports["candidate"].as_row()
     assert reports["reference"].events == reports["candidate"].events
+
+
+# ---------------------------------------------------------------------------
+# Legitimacy: identical timelines, stabilization points and closure verdicts
+# ---------------------------------------------------------------------------
+class _LegitimacyTimeline(Observer):
+    """``(step, round, monitor verdict, reference verdict)`` at start and per step."""
+
+    def __init__(self) -> None:
+        self.entries: list[tuple[int, int, bool, bool]] = []
+
+    def _note(self, source) -> None:
+        self.entries.append(
+            (
+                source.steps_executed,
+                source.rounds_completed,
+                source.legitimacy.legitimate(),
+                source.protocol.legitimate(source.network, source.configuration),
+            )
+        )
+
+    def on_run_start(self, source, payload) -> None:
+        self._note(source)
+
+    def on_step(self, source, record) -> None:
+        self._note(source)
+
+    def first_legitimate(self, column: int) -> tuple[int | None, int | None]:
+        """Step/round from which ``column`` held through the end (``None``: never)."""
+        first: tuple[int | None, int | None] = (None, None)
+        for entry in self.entries:
+            if not entry[column]:
+                first = (None, None)
+            elif first[0] is None:
+                first = (entry[0], entry[1])
+        return first
+
+
+_MONITOR, _REFERENCE = 2, 3
+
+
+@pytest.mark.parametrize("daemon", ("central", "distributed", "synchronous"))
+@pytest.mark.parametrize("protocol_key", sorted(PROTOCOLS))
+def test_first_legitimate_step_and_closure_verdict_are_identical_across_cores(
+    protocol_key, daemon
+):
+    """``run_until_legitimate`` with a closure window: every core reports the
+    same stabilization step/round and closure verdict, and both equal the
+    reference predicate's own timeline."""
+    factory, family = PROTOCOLS[protocol_key]
+    network = generators.family(family, 7, seed=11)
+    window = 3 * (network.n + network.num_edges()) + 10
+    cores = {
+        "scheduler": partial(Scheduler, incremental=True),
+        "scheduler-fullscan": partial(Scheduler, incremental=False),
+        "scheduler-sharded": partial(ShardedScheduler, shards=2, mode="inline"),
+    }
+    outcomes = {}
+    for name, build in cores.items():
+        timeline = _LegitimacyTimeline()
+        scheduler = build(
+            network, factory(), daemon=make_daemon(daemon), seed=11, observers=(timeline,)
+        )
+        try:
+            result = scheduler.run_until_legitimate(max_steps=20_000, confirm_steps=window)
+        finally:
+            closer = getattr(scheduler, "close", None)
+            if closer is not None:
+                closer()
+        assert result.converged, (name, protocol_key, daemon)
+        stabilization = (result.first_legitimate_step, result.first_legitimate_round)
+        assert stabilization == timeline.first_legitimate(_REFERENCE), name
+        assert [entry[_MONITOR] for entry in timeline.entries] == [
+            entry[_REFERENCE] for entry in timeline.entries
+        ], name
+        outcomes[name] = (stabilization, result.converged, result.steps, result.rounds)
+    assert len(set(outcomes.values())) == 1, outcomes
+
+
+@pytest.mark.parametrize("daemon", ("central", "distributed", "synchronous"))
+@pytest.mark.parametrize("protocol", ("dftno", "stno-bfs", "stno-dfs"))
+def test_legitimacy_timelines_and_rows_are_identical_across_engines(
+    protocol, daemon, tmp_path
+):
+    """Through the public entry point: the ``scheduler``, ``scheduler-fullscan``
+    and ``scheduler-sharded`` engines give identical rows (``full_steps`` /
+    ``full_rounds`` are the first legitimate step/round) and identical
+    per-step legitimacy timelines, and ``scheduler-replay`` of the recorded
+    run retraces the same timeline."""
+    from repro.replay import replay_spec
+
+    log = tmp_path / "live.flight.jsonl"
+    rows, timelines = {}, {}
+    for engine, shards in (
+        ("scheduler", None),
+        ("scheduler-fullscan", None),
+        ("scheduler-sharded", 2),
+    ):
+        timeline = _LegitimacyTimeline()
+        spec = RunSpec(
+            engine=engine,
+            protocol=protocol,
+            network=NetworkSpec(family="random_connected", size=8, seed=5),
+            daemon=daemon,
+            seed=13,
+            shards=shards,
+            record=str(log) if engine == "scheduler" else None,
+        )
+        row = dict(run(spec, observers=(timeline,)).row)
+        row.pop("flight_log", None)
+        rows[engine], timelines[engine] = row, timeline
+    replayed = _LegitimacyTimeline()
+    assert run(replay_spec(log), observers=(replayed,)).row["verified"]
+    timelines["scheduler-replay"] = replayed
+
+    reference = timelines["scheduler"]
+    assert reference.first_legitimate(_REFERENCE) == (
+        rows["scheduler"]["full_steps"],
+        rows["scheduler"]["full_rounds"],
+    )
+    for engine, timeline in timelines.items():
+        assert timeline.entries == reference.entries, engine
+        assert [entry[_MONITOR] for entry in timeline.entries] == [
+            entry[_REFERENCE] for entry in timeline.entries
+        ], engine
+    for engine, row in rows.items():
+        assert row == rows["scheduler"], engine
+    assert rows["scheduler"]["converged"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.baseline import centralized_orientation
 from repro.core.specification import VAR_EDGE_LABELS, VAR_NAME, OrientationSpecification
@@ -116,3 +117,91 @@ def test_report_holds_property():
     assert SpecificationReport(sp1=True, sp2=True).holds
     assert not SpecificationReport(sp1=True, sp2=False).holds
     assert not SpecificationReport(sp1=False, sp2=True).holds
+
+
+# ---------------------------------------------------------------------------
+# The fast predicates and the local terms agree with the reporting checker
+# ---------------------------------------------------------------------------
+def _corrupt(network, configuration, operation, node, value):
+    """Apply one named corruption at ``node`` (``value`` seeds the choice)."""
+    other = (node + 1 + value) % network.n
+    neighbors = network.neighbors(node)
+    labels = configuration.get(node, VAR_EDGE_LABELS)
+    if operation == "name_out_of_range":
+        configuration.set(node, VAR_NAME, network.n + value if value % 2 else -1 - value)
+    elif operation == "name_not_int":
+        configuration.set(node, VAR_NAME, ("three", None, 1.5, (value,))[value % 4])
+    elif operation == "name_duplicate":
+        configuration.set(node, VAR_NAME, configuration.get(other, VAR_NAME))
+    elif operation == "name_shift":
+        configuration.set(node, VAR_NAME, value % network.n)
+    elif operation == "labels_not_dict":
+        configuration.set(node, VAR_EDGE_LABELS, (None, [], 7, "garbage")[value % 4])
+    elif operation == "labels_missing":
+        trimmed = dict(labels) if isinstance(labels, dict) else {}
+        trimmed.pop(neighbors[value % len(neighbors)], None)
+        configuration.set(node, VAR_EDGE_LABELS, trimmed)
+    elif operation == "labels_wrong":
+        wrong = dict(labels) if isinstance(labels, dict) else {}
+        neighbor = neighbors[value % len(neighbors)]
+        wrong[neighbor] = (wrong.get(neighbor, 0) or 0) + 1 + value
+        configuration.set(node, VAR_EDGE_LABELS, wrong)
+
+
+class _Run:
+    """The three attributes a legitimacy monitor reads from its owner."""
+
+    def __init__(self, protocol, network, configuration):
+        self.protocol, self.network, self.configuration = protocol, network, configuration
+
+
+CORRUPTIONS = (
+    "name_out_of_range",
+    "name_not_int",
+    "name_duplicate",
+    "name_shift",
+    "labels_not_dict",
+    "labels_missing",
+    "labels_wrong",
+)
+
+
+@given(
+    network_seed=st.integers(min_value=0, max_value=500),
+    size=st.integers(min_value=3, max_value=10),
+    corruptions=st.lists(
+        st.tuples(
+            st.sampled_from(CORRUPTIONS),
+            st.integers(min_value=0, max_value=99),
+            st.integers(min_value=0, max_value=99),
+        ),
+        max_size=4,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_holds_and_local_terms_agree_with_check_on_corrupted_configurations(
+    network_seed, size, corruptions
+):
+    from repro.core.dftno import DFTNO
+    from repro.runtime.legitimacy import LegitimacyMonitor
+
+    network = generators.random_connected(size, extra_edge_probability=0.3, seed=network_seed)
+    configuration = configuration_from_orientation(network, centralized_orientation(network))
+    spec = OrientationSpecification()
+    run = _Run(DFTNO(), network, configuration)  # the monitor holds its owner weakly
+    monitor = LegitimacyMonitor(run)
+    assert monitor.legitimate() and spec.holds(network, configuration)
+    for operation, node, value in corruptions:
+        _corrupt(network, configuration, operation, node % network.n, value)
+        report = spec.check(network, configuration)
+        assert spec.holds(network, configuration) == report.holds
+        assert spec.sp1_holds(network, configuration) == report.sp1
+        # The monitor folds each journaled corruption in incrementally.
+        assert monitor.legitimate() == report.holds
+
+
+def test_sp1_holds_does_not_read_the_labels(small_random, oriented_configuration):
+    for node in small_random.nodes():
+        oriented_configuration.replace_node(node, {VAR_NAME: node})
+    # No label map anywhere: SP2 would raise on the missing variable.
+    assert OrientationSpecification().sp1_holds(small_random, oriented_configuration)

@@ -25,6 +25,7 @@ FIXTURE_RULES = {
     "io_guard.py": "RL002",
     "rng_guard.py": "RL003",
     "nonlocal_read.py": "RL004",
+    "predicate_reads_far.py": "RL004",
     "neighbor_write.py": "RL005",
     "undeclared_write.py": "RL006",
 }
@@ -89,6 +90,41 @@ def test_summary_resolves_all_shipped_actions() -> None:
     edge_label = actions["DFTNO.NO-EdgeLabel"]
     assert "no_pi" in edge_label["writes"]
     assert "no_eta" in edge_label["guard_reads_neighbor"]
+
+
+def test_local_predicates_are_walked_under_the_guard_rules(tmp_path: Path) -> None:
+    # Every shipped decomposition is resolved and its reads are recorded.
+    summary = build_summary([PACKAGE])
+    predicates = {
+        name: data
+        for module in summary["modules"].values()
+        for name, data in module.items()
+        if name.endswith(".legitimacy")
+    }
+    assert {
+        "DepthFirstTokenCirculation.legitimacy",
+        "BFSSpanningTree.legitimacy",
+        "_DFSTreeOverlay.legitimacy",
+        "PIFWave.legitimacy",
+        "DijkstraTokenRing.legitimacy",
+        "OrientationSpecification.legitimacy",
+    } <= set(predicates)
+    token = predicates["DepthFirstTokenCirculation.legitimacy"]
+    assert {"tc_st", "tc_par", "tc_child"} <= set(token["guard_reads_neighbor"])
+    # RL006 applies to a predicate as to a guard.
+    source = tmp_path / "undeclared_predicate.py"
+    source.write_text(
+        "class Undeclared:\n"
+        "    name = 'undeclared'\n"
+        "    def variables(self, network, node):\n"
+        "        return [int_variable('ud_x', 0)]\n"
+        "    def local_legitimacy(self, network):\n"
+        "        def term(view):\n"
+        "            return (int(view.read('ud_y') != 0),), None\n"
+        "        return LocalLegitimacy(term)\n",
+        encoding="utf-8",
+    )
+    assert [finding.rule for finding in lint_paths([source])] == ["RL006"]
 
 
 def test_guard_footprints_are_closed_neighborhood_only() -> None:

@@ -19,6 +19,7 @@ from repro.obs.recorder import (
     encode_step,
     encode_value,
     fingerprint,
+    step_core_json,
 )
 
 
@@ -128,3 +129,44 @@ def test_encode_step_round_trips_through_the_log_decoder():
     )
     core = json.loads(json.dumps(encode_step(record)))
     assert decoded_step_record({"core": core, "seq": 9}) == record
+
+
+def _reference_core_json(record) -> str:
+    return json.dumps(encode_step(record), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("value", ROUND_TRIP_VALUES + [1.5e300, "quote\"é\n", 2**70], ids=repr)
+def test_step_core_json_is_the_sorted_dump_of_encode_step(value):
+    from repro.runtime.scheduler import MoveRecord, StepRecord
+
+    record = StepRecord(
+        step=12,
+        round=3,
+        executed=((4, "recolor"), (1, "adopt")),
+        changed_nodes=(4,),
+        moves=(
+            MoveRecord(4, "recolor", "dftno", {"zeta": (value, 0), "alpha": (None, value)}),
+            MoveRecord(1, "adopt", "dftno", {}),
+        ),
+    )
+    assert step_core_json(record) == _reference_core_json(record)
+
+
+@pytest.mark.parametrize("protocol", ["dftno", "stno-bfs", "stno-dfs"])
+def test_step_core_json_matches_the_sorted_dump_on_real_runs(protocol):
+    from repro.api.engines import build_protocol
+    from repro.graphs import generators
+    from repro.runtime.daemon import make_daemon
+    from repro.runtime.scheduler import Scheduler
+
+    scheduler = Scheduler(
+        generators.random_connected(8, extra_edge_probability=0.3, seed=2),
+        build_protocol(protocol),
+        daemon=make_daemon("distributed"),
+        seed=3,
+    )
+    for _ in range(200):
+        record = scheduler.step()
+        if record is None:
+            break
+        assert step_core_json(record) == _reference_core_json(record)
