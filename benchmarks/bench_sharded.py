@@ -37,7 +37,7 @@ from repro.core.dftno import build_dftno
 from repro.graphs import generators
 from repro.runtime.daemon import SynchronousDaemon
 from repro.runtime.scheduler import Scheduler
-from repro.shard import ShardedScheduler, default_mode
+from repro.shard import ShardedScheduler
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_utils import append_history  # noqa: E402
@@ -48,16 +48,6 @@ QUICK_SIZES = ((80, 40),)
 
 FULL_SHARDS = (1, 2, 4)
 QUICK_SHARDS = (1, 2)
-
-#: (n, timed steps) of the fused-round A/B measurement: the same sharded
-#: workload stepped once with the fused single-round-trip protocol (the
-#: synchronous-daemon fast path) and once with it disabled, interleaved and
-#: repeated so machine noise cancels out of the ratio.
-FUSED_AB = (200, 120)
-FUSED_AB_SHARDS = 2
-FUSED_AB_REPEATS = 5
-QUICK_FUSED_AB = (80, 40)
-QUICK_FUSED_AB_REPEATS = 2
 
 REQUIRED_SPEEDUP = 1.5
 REQUIRED_AT = (1000, 4)  # (n, shards)
@@ -110,68 +100,8 @@ def _time_steps(n: int, steps: int, shards: int | None) -> dict[str, object]:
             closer()
 
 
-def _time_fused_ab(
-    n: int, steps: int, shards: int, repeats: int, emit=print
-) -> dict[str, object]:
-    """A/B the fused single-round-trip protocol against the classic two-trip.
-
-    Runs are interleaved (fused, classic, fused, ...) and the best wall-clock
-    of each arm is compared, so slow drifts of the machine cancel out of the
-    ratio.  This is the direct measurement of what round batching buys: both
-    arms run the identical sharded execution (same engine, same seed), so
-    the ratio isolates the removed round-trips and the locally-committed
-    interior writes.
-    """
-    network = generators.random_connected(n, seed=1)
-
-    def one(fused: bool) -> float:
-        scheduler = ShardedScheduler(
-            network,
-            build_dftno(),
-            daemon=SynchronousDaemon(),
-            seed=7,
-            shards=shards,
-            mode=default_mode(),
-            fused_rounds=fused,
-        )
-        try:
-            scheduler.enabled_nodes()
-            started = time.perf_counter()
-            for _ in range(steps):
-                if scheduler.step() is None:
-                    break
-            return time.perf_counter() - started
-        finally:
-            scheduler.close()
-
-    fused_times, classic_times = [], []
-    for _ in range(repeats):
-        fused_times.append(one(True))
-        classic_times.append(one(False))
-    fused_best, classic_best = min(fused_times), min(classic_times)
-    gain = classic_best / fused_best if fused_best > 0 else None
-    row = {
-        "n": n,
-        "shards": shards,
-        "steps": steps,
-        "repeats": repeats,
-        "fused_seconds": round(fused_best, 4),
-        "classic_seconds": round(classic_best, 4),
-        "fused_round_gain": gain and round(gain, 3),
-    }
-    emit(
-        f"fused-round A/B n={n} k={shards}: fused {fused_best:.3f}s vs "
-        f"classic {classic_best:.3f}s -> {gain:.2f}x"
-    )
-    return row
-
-
 def run_bench(
-    sizes=FULL_SIZES,
-    shard_counts=FULL_SHARDS,
-    emit=print,
-    fused_ab=FUSED_AB,
-    fused_ab_repeats=FUSED_AB_REPEATS,
+    sizes=FULL_SIZES, shard_counts=FULL_SHARDS, emit=print
 ) -> dict[str, object]:
     """Run the sweep and return the artifact payload (also emitted per row)."""
     rows: list[dict[str, object]] = []
@@ -201,9 +131,6 @@ def run_bench(
                 f"n={n}: sharded k={shards} {row['seconds']:.3f}s "
                 f"-> speedup {speedup:.2f}x"
             )
-    fused_ab_row = _time_fused_ab(
-        fused_ab[0], fused_ab[1], FUSED_AB_SHARDS, fused_ab_repeats, emit=emit
-    )
     cpus = os.cpu_count() or 1
     required_key = f"n{REQUIRED_AT[0]}-k{REQUIRED_AT[1]}"
     measured = speedups.get(required_key)
@@ -229,7 +156,6 @@ def run_bench(
         "shard_counts": list(shard_counts),
         "rows": rows,
         "speedups": speedups,
-        "fused_round_ab": fused_ab_row,
         "required_speedup": REQUIRED_SPEEDUP,
         "required_at": {"n": REQUIRED_AT[0], "shards": REQUIRED_AT[1]},
         "threshold": threshold,
@@ -264,15 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         "(default BENCH_history.jsonl in the repo root)",
     )
     args = parser.parse_args(argv)
-    if args.quick:
-        payload = run_bench(
-            QUICK_SIZES,
-            QUICK_SHARDS,
-            fused_ab=QUICK_FUSED_AB,
-            fused_ab_repeats=QUICK_FUSED_AB_REPEATS,
-        )
-    else:
-        payload = run_bench()
+    payload = run_bench(QUICK_SIZES, QUICK_SHARDS) if args.quick else run_bench()
     write_artifact(payload, args.out)
     print(f"wrote {args.out}")
     history = append_history(payload, args.history)

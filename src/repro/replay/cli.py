@@ -9,7 +9,9 @@
 ``show`` pretty-prints a step range with per-node state diffs (plus the
 mutations and scenario events interleaved between them).  ``verify``
 re-executes the log in lockstep and exits 0 iff every step record, the final
-configuration and the metrics are byte-identical to the recording.
+configuration and the metrics are byte-identical to the recording.  A log
+whose last line was torn by a crash verifies its valid prefix only (there is
+no final entry to check) and says so.
 ``bisect`` localizes the *first* point of damage: it checks the recorded
 per-step fingerprints for in-log corruption (an entry whose body no longer
 matches its stamp), replays to the first live divergence, and reports
@@ -115,6 +117,14 @@ def _cmd_show(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def _cmd_verify(args: argparse.Namespace) -> int:
     log = FlightLog.load(args.log)
+    if log.truncated:
+        # A crashed recording never wrote its final entry, so there is no
+        # final state or metrics to check.
+        print(
+            f"{log.path}: log truncated -- torn final line {log.torn_line} "
+            f"dropped; verifying the valid prefix, final state and metrics "
+            f"not checked"
+        )
     report = ReplayRun(log).run()
     if report.verified:
         print(

@@ -5,7 +5,9 @@ header, the initial configuration, and the ordered entry stream.  Parsing is
 strict about structure (a malformed line raises :class:`~repro.errors.ReplayError`
 with its file:line position) but agnostic about content -- a *divergent* log
 is perfectly readable; divergence is the replay engine's verdict, not the
-parser's.
+parser's.  The one tolerated defect is a torn *final* line -- what a run that
+crashed mid-write leaves behind: it is dropped and the log is marked
+:attr:`FlightLog.truncated`, so the valid prefix stays replayable.
 """
 
 from __future__ import annotations
@@ -28,10 +30,22 @@ class FlightLog:
     init: dict[str, Any]
     entries: list[dict[str, Any]] = field(default_factory=list)
     final: dict[str, Any] | None = None
+    #: Line number of a torn final line that was dropped, or ``None``.
+    torn_line: int | None = None
+
+    @property
+    def truncated(self) -> bool:
+        """Whether the log ends in a torn line (the recording crashed)."""
+        return self.torn_line is not None
 
     @classmethod
     def load(cls, path: "str | Path") -> "FlightLog":
-        """Parse ``path``; raises :class:`ReplayError` on structural damage."""
+        """Parse ``path``; raises :class:`ReplayError` on structural damage.
+
+        An unparsable *last* non-blank line is a torn write, not damage: it
+        is dropped and recorded as :attr:`torn_line`.  An unparsable line
+        anywhere else still raises with its ``file:line``.
+        """
         path = Path(path)
         if not path.exists():
             raise ReplayError(f"flight log {path} does not exist")
@@ -39,15 +53,19 @@ class FlightLog:
         init: dict[str, Any] | None = None
         final: dict[str, Any] | None = None
         entries: list[dict[str, Any]] = []
-        for lineno, raw in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        torn_line: int | None = None
+        lines = path.read_text(encoding="utf-8").splitlines()
+        last = max((i for i, raw in enumerate(lines, start=1) if raw.strip()), default=0)
+        for lineno, raw in enumerate(lines, start=1):
             raw = raw.strip()
             if not raw:
                 continue
             try:
                 entry = json.loads(raw)
             except json.JSONDecodeError as exc:
+                if lineno == last:
+                    torn_line = lineno
+                    break
                 raise ReplayError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             if not isinstance(entry, dict) or "type" not in entry:
                 raise ReplayError(f"{path}:{lineno}: entry without a type")
@@ -76,7 +94,14 @@ class FlightLog:
             raise ReplayError(f"{path}: no header entry (not a flight log?)")
         if init is None:
             raise ReplayError(f"{path}: no init entry (truncated before step 0?)")
-        return cls(path=path, header=header, init=init, entries=entries, final=final)
+        return cls(
+            path=path,
+            header=header,
+            init=init,
+            entries=entries,
+            final=final,
+            torn_line=torn_line,
+        )
 
     # ------------------------------------------------------------------
     # Decoded views

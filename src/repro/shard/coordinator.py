@@ -20,7 +20,9 @@ execution.  Between steps the coordinator exchanges only the *dirty
 frontier*: each changed node's state goes to the shard that owns it and to
 every shard that ghosts it (a boundary crossing), and each shard answers with
 the delta of its block's enabled set.  Interior changes of one shard never
-touch another shard's mailbox.
+touch another shard's mailbox.  Every delta is a pickled per-node payload on
+the worker's pipe -- the written variables, or the whole state when it was
+replaced -- so the pipe is the only channel between coordinator and worker.
 
 Because every mutation path of the base scheduler funnels through the
 journaled configuration (step writes, ``set_configuration``, crash/rejoin
@@ -42,13 +44,6 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.graphs.network import RootedNetwork
 from repro.obs.instrument import Instrumentation, PHASE_FRONTIER_EXCHANGE
-from repro.runtime.arrayview import (
-    ArrayView,
-    ArrayViewUnsupported,
-    HAVE_NUMPY,
-    column_sizes,
-    np,
-)
 from repro.runtime.configuration import Configuration
 from repro.runtime.daemon import Daemon, SynchronousDaemon
 from repro.runtime.observers import Observer, dispatch_safely
@@ -87,7 +82,7 @@ class _InlineShard:
     inline is the logic that runs forked.
     """
 
-    def __init__(self, factory) -> None:
+    def __init__(self, index: int, factory) -> None:
         self.worker = factory()
         self._result: Any = None
 
@@ -102,9 +97,15 @@ class _InlineShard:
 
 
 class _ProcessShard:
-    """A shard handle talking to a forked worker process over a pipe."""
+    """A shard handle talking to a forked worker process over a pipe.
 
-    def __init__(self, factory) -> None:
+    A worker that is gone -- crashed, or killed from outside -- surfaces as a
+    :class:`ShardError` naming the shard on either side of the round trip: a
+    refused send (the pipe's reader has exited) or an answerless receive.
+    """
+
+    def __init__(self, index: int, factory) -> None:
+        self.index = index
         context = multiprocessing.get_context("fork")
         self.connection, child = context.Pipe()
         # daemon=True: a leaked coordinator can never leave orphan workers.
@@ -115,13 +116,20 @@ class _ProcessShard:
         child.close()
 
     def send(self, message: tuple) -> None:
-        self.connection.send(message)
+        try:
+            self.connection.send(message)
+        except OSError as exc:
+            raise ShardError(
+                f"shard {self.index} worker process is gone (send failed: {exc})"
+            ) from exc
 
     def recv(self) -> tuple:
         try:
             return self.connection.recv()
-        except EOFError as exc:
-            raise ShardError("shard worker process died without answering") from exc
+        except (EOFError, OSError) as exc:
+            raise ShardError(
+                f"shard {self.index} worker process died without answering"
+            ) from exc
 
     def close(self) -> None:
         try:
@@ -143,23 +151,6 @@ def _close_handles(handles: list) -> None:
             pass
 
 
-def _release_shm(segment) -> None:
-    """Best-effort unlink+close of a shared-memory segment.
-
-    Unlink first -- it only removes the name and always succeeds -- so the
-    segment can never leak even when outstanding numpy views keep the mapping
-    exported and ``close`` raises ``BufferError``.
-    """
-    try:
-        segment.unlink()
-    except Exception:  # pragma: no cover - already unlinked
-        pass
-    try:
-        segment.close()
-    except Exception:  # pragma: no cover - exported views still alive
-        pass
-
-
 class ShardedScheduler(Scheduler):
     """A :class:`~repro.runtime.scheduler.Scheduler` that executes sharded.
 
@@ -175,17 +166,15 @@ class ShardedScheduler(Scheduler):
         worker process; ``"inline"`` runs the identical shard workers
         synchronously in-process -- zero parallelism, full observability,
         used by tests and as the fallback on fork-less platforms.
-    fused_rounds:
-        On by default.  Under the synchronous daemon the coming selection is
-        the whole enabled set, so the per-step ``apply`` + ``execute``
-        round-trip pair collapses into one fused ``round`` message whose
-        reply carries the speculative execution results, and workers commit
-        their own block's writes locally so interior writes never cross the
-        pipe again.  ``False`` restores the classic two-trip protocol (the
-        benchmark A/Bs the two).  In ``"fork"`` mode with numpy available
-        and an array-encodable protocol, frontier deltas additionally travel
-        through a ``multiprocessing.shared_memory`` mirror instead of the
-        pipes' pickle stream; both paths degrade transparently.
+
+    Frontier deltas always travel as pickled per-node payloads: the written
+    variables of a changed node, or its whole state when it was replaced.
+    Under the synchronous daemon the coming selection is the whole enabled
+    set, so the per-step ``apply`` + ``execute`` round-trip pair collapses
+    into one fused ``round`` message whose reply carries the speculative
+    execution results, and workers commit their own block's writes locally
+    so interior writes never cross the pipe again.  Every other daemon, and
+    any run with a race checker attached, uses the classic two-trip protocol.
 
     Every observable -- enabled sets, step records, metrics, rounds, final
     configurations, convergence verdicts -- is bit-identical to a
@@ -222,7 +211,6 @@ class ShardedScheduler(Scheduler):
         check_guard_locality: bool | None = None,
         instrumentation: Instrumentation | None = None,
         race_checker=None,
-        fused_rounds: bool = True,
     ) -> None:
         super().__init__(
             network,
@@ -260,10 +248,6 @@ class ShardedScheduler(Scheduler):
         #: every frontier exchange is followed by a mirror audit and every
         #: execute fan-out by a write-ownership audit.
         self.race_checker = race_checker
-        #: Whether synchronous-daemon steps may use the fused single
-        #: round-trip ``round`` protocol (benchmarks A/B this; everything
-        #: else leaves it on).
-        self.fused_rounds = fused_rounds
         self.partition: Partition = partition_network(network, shards, strategy=partition)
         #: ``node -> (action name, pending writes)`` speculatively computed by
         #: the last fused ``round`` exchange; consumed by the next
@@ -279,18 +263,6 @@ class ShardedScheduler(Scheduler):
         #: frontier; they must receive a message next exchange even when no
         #: deltas route to them.
         self._owners_pending: set[int] = set()
-        # Shared-memory mirror (fork mode + numpy + encodable protocol only):
-        # frontier deltas become ("shm", names) name lists and the values
-        # travel through the segment instead of the pipe's pickle stream.
-        # The segment must exist before the workers fork so they inherit the
-        # mapping; everything degrades to pickled deltas when unavailable.
-        self._shm = None
-        self._shm_view: ArrayView | None = None
-        self._shm_buffers: dict[str, Any] | None = None
-        self._shm_names: frozenset = frozenset()
-        shm_buffers = (
-            self._create_shm_mirror() if mode == "fork" and HAVE_NUMPY else None
-        )
         handle_type = _ProcessShard if mode == "fork" else _InlineShard
         self._shards = []
         for index, block in enumerate(self.partition.blocks):
@@ -303,63 +275,12 @@ class ShardedScheduler(Scheduler):
                 tuple(self.partition.ghosts(index)),
                 self.check_guard_locality,
                 self._instr.enabled,
-                shm_buffers=shm_buffers,
             )
-            self._shards.append(handle_type(factory))
+            self._shards.append(handle_type(index, factory))
         self._closed = False
         self._finalizer = weakref.finalize(self, _close_handles, list(self._shards))
         # super().__init__ left _needs_full_rescan=True, so the first
         # enabled-set access broadcasts the initial configuration ("load").
-
-    def _create_shm_mirror(self) -> dict[str, Any] | None:
-        """Allocate the shared segment and the coordinator-side encoder view.
-
-        Returns the ``{name: int64 array}`` buffer map the worker factories
-        capture (inherited through fork, so coordinator and workers alias the
-        same pages), or ``None`` when the protocol is not array-encodable or
-        the platform refuses a segment -- the engine then simply keeps
-        pickling deltas.
-        """
-        from multiprocessing import shared_memory
-
-        try:
-            sizes = column_sizes(self.network, self.protocol)
-        except ArrayViewUnsupported:
-            return None
-        try:
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(sum(sizes.values()) * 8, 8)
-            )
-        except (OSError, ValueError):  # pragma: no cover - platform quirk
-            return None
-        buffers: dict[str, Any] | None = {}
-        offset = 0
-        for name in sorted(sizes):
-            buffers[name] = np.frombuffer(
-                segment.buf, dtype=np.int64, count=sizes[name], offset=offset
-            )
-            offset += sizes[name] * 8
-        try:
-            view = ArrayView(
-                self.network, self.protocol, self.configuration, buffers=buffers
-            )
-        except ArrayViewUnsupported:
-            buffers = None  # drop the exports so the mapping can close
-            _release_shm(segment)
-            return None
-        self._shm = segment
-        self._shm_view = view
-        self._shm_buffers = buffers
-        self._shm_names = frozenset(buffers)
-        self._shm_finalizer = weakref.finalize(self, _release_shm, segment)
-        return buffers
-
-    def _disable_shm(self) -> None:
-        """Stop producing shared-memory deltas (a value left the encodable
-        domain mid-run, or the topology changed the column layout)."""
-        if self._shm_view is not None:
-            self._shm_view.detach()
-            self._shm_view = None
 
     # ------------------------------------------------------------------
     # Worker messaging
@@ -387,15 +308,21 @@ class ShardedScheduler(Scheduler):
             for index in messages:
                 self._lamport += 1
                 sent_stamps[index] = self._lamport
-        for index, message in messages.items():
-            self._shards[index].send(message)
-        answers: dict[int, Any] = {}
         failure: ShardError | None = None
+        sent: list[int] = []
+        for index, message in messages.items():
+            try:
+                self._shards[index].send(message)
+            except ShardError as exc:
+                failure = failure or exc
+                continue
+            sent.append(index)
+        answers: dict[int, Any] = {}
         # Drain every outstanding reply even after a failure: leaving one
         # queued in a pipe would pair the next command with a stale answer.
         # A failed worker has already exited, so the coordinator is torn
         # down before the error propagates.
-        for index in messages:
+        for index in sent:
             try:
                 reply = self._shards[index].recv()
             except ShardError as exc:
@@ -464,27 +391,18 @@ class ShardedScheduler(Scheduler):
         self, nodes: Iterable[int], detail: Mapping[int, frozenset | None]
     ) -> dict[int, tuple[str, Mapping[str, Any]]]:
         """Per-node change payloads: written variables only, full state when
-        the whole local state was replaced (so dropped variables propagate).
-
-        With the shared-memory mirror live (and freshly synced by the
-        caller), a plain variable write ships as ``("shm", names)`` -- the
-        worker reads the values out of the segment -- so only the names cross
-        the pipe.  Whole-state replacements always go pickled: a dropped
-        variable has no array representation.
-        """
+        the whole local state was replaced (so dropped variables propagate)."""
         payload: dict[int, tuple[str, Any]] = {}
-        shm_live = self._shm_view is not None
         for node in nodes:
             names = detail[node]
             state = self.configuration.peek_state(node)
             if names is None:
                 payload[node] = ("full", state)
-                continue
-            present = tuple(name for name in names if name in state)
-            if shm_live and all(name in self._shm_names for name in present):
-                payload[node] = ("shm", present)
             else:
-                payload[node] = ("vars", {name: state[name] for name in present})
+                payload[node] = (
+                    "vars",
+                    {name: state[name] for name in names if name in state},
+                )
         return payload
 
     # ------------------------------------------------------------------
@@ -557,24 +475,12 @@ class ShardedScheduler(Scheduler):
             self._refresh_enabled()
             return
         dirty = {node for node in detail if node in self._actions}
-        if self._shm_view is not None:
-            try:
-                # Encode every pending node into the segment *before* the
-                # sends: workers read it while handling the command, and the
-                # coordinator blocks on their replies, so nothing races.
-                self._shm_view.sync()
-            except ArrayViewUnsupported:
-                self._disable_shm()
         # Under the synchronous daemon the coming selection is known to be
         # the whole enabled set, so fuse apply+execute into one ``round``
         # trip per shard and stash the speculative execution results.  The
         # race checker needs the two-phase shape for its audits, so it keeps
         # the classic path.
-        fused = (
-            self.fused_rounds
-            and isinstance(self.daemon, SynchronousDaemon)
-            and self.race_checker is None
-        )
+        fused = isinstance(self.daemon, SynchronousDaemon) and self.race_checker is None
         command = "round" if fused else "apply"
         synced = self._owner_synced
         self._owner_synced = None
@@ -733,10 +639,6 @@ class ShardedScheduler(Scheduler):
         self._round_results = None
         self._owner_synced = None
         self._owners_pending = set()
-        # A new topology changes the CSR layout of map columns; rather than
-        # renegotiating the segment with live workers, shared-memory deltas
-        # simply stop for the rest of the run.
-        self._disable_shm()
         self._command(
             {
                 index: ("network", network, tuple(self.partition.ghosts(index)))
@@ -745,28 +647,11 @@ class ShardedScheduler(Scheduler):
         )
 
     def set_configuration(self, configuration: Configuration) -> None:
-        """Replace the run's configuration (the base queues a full rescan).
-
-        The coordinator now owns a *new* journaled Configuration copy, so the
-        shared-memory encoder view is rebuilt against it; the freshly-created
-        view marks every node pending, which re-encodes the whole state into
-        the segment on the next exchange.
-        """
+        """Replace the run's configuration (the base queues a full rescan)."""
         super().set_configuration(configuration)
         self._round_results = None
         self._owner_synced = None
         self._owners_pending = set()
-        if self._shm_view is not None:
-            self._shm_view.detach()
-            try:
-                self._shm_view = ArrayView(
-                    self.network,
-                    self.protocol,
-                    self.configuration,
-                    buffers=self._shm_buffers,
-                )
-            except ArrayViewUnsupported:
-                self._shm_view = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -786,12 +671,6 @@ class ShardedScheduler(Scheduler):
         self._closed = True
         self._finalizer.detach()
         _close_handles(self._shards)
-        self._disable_shm()
-        self._shm_buffers = None  # release the exports so the mapping closes
-        if self._shm is not None:
-            self._shm_finalizer.detach()
-            _release_shm(self._shm)
-            self._shm = None
 
     def _collect_worker_perf(self) -> None:
         for index, shard in enumerate(self._shards):

@@ -8,9 +8,11 @@ and answers four messages:
 
 * ``load``   -- replace the mirrored states wholesale and rescan every block
   guard (run start, corruption bursts, topology changes);
-* ``apply``  -- fold a batch of changed node states in and re-evaluate only
-  the dirty frontier that reaches into the block (the changed nodes plus
-  their block-side neighbors), answering with the *enabled delta*;
+* ``apply``  -- fold a batch of changed node states in (pickled in the
+  message: the written variables, or the whole replaced state) and
+  re-evaluate only the dirty frontier that reaches into the block (the
+  changed nodes plus their block-side neighbors), answering with the
+  *enabled delta*;
 * ``execute`` -- run the cached first-enabled action of the named block nodes
   against the beginning-of-step mirror and return their pending writes
   (writes are never applied locally -- they come back through ``apply``, the
@@ -49,7 +51,6 @@ from repro.obs.instrument import (
     PHASE_ACTION_EXEC,
     PHASE_GUARD_EVAL,
 )
-from repro.runtime.arrayview import ArrayView, ArrayViewUnsupported
 from repro.runtime.configuration import Configuration
 from repro.runtime.processor import ProcessorView
 from repro.runtime.protocol import Protocol
@@ -72,7 +73,6 @@ class ShardWorker:
         ghosts: Sequence[int],
         check_guard_locality: bool = False,
         instrument: bool = False,
-        shm_buffers: Mapping[str, Any] | None = None,
     ) -> None:
         self.shard_index = shard_index
         self.network = network
@@ -80,20 +80,6 @@ class ShardWorker:
         self.block = tuple(block)
         self.ghosts = frozenset(ghosts)
         self.check_guard_locality = check_guard_locality
-        #: Decode-only array view over the coordinator's shared-memory
-        #: mirror.  ``shm_buffers`` maps variable names to int64 arrays that
-        #: alias the coordinator's segment (inherited through fork), so a
-        #: ``("shm", names)`` delta is decoded locally instead of pickled
-        #: across the pipe.  The throwaway Configuration is never read: the
-        #: view is used purely through :meth:`ArrayView.decode_node`.
-        self._shm_view: ArrayView | None = None
-        if shm_buffers is not None:
-            try:
-                self._shm_view = ArrayView(
-                    network, protocol, Configuration(), buffers=shm_buffers
-                )
-            except ArrayViewUnsupported:
-                self._shm_view = None
         #: Local phase timers and counters; cumulative for the worker's
         #: lifetime.  Summaries piggyback on ``apply`` replies and answer the
         #: ``perf`` command, so the coordinator's view is always the latest
@@ -143,10 +129,8 @@ class ShardWorker:
 
         ``deltas`` carries, for every changed node visible to this shard (own
         or ghost), either ``("vars", {name: value})`` -- just the written
-        variables, the common case -- ``("shm", names)`` -- the named
-        variables are read out of the shared-memory mirror instead of the
-        message -- or ``("full", state)`` when the node's whole local state
-        was replaced (a variable may have been dropped).
+        variables, the common case -- or ``("full", state)`` when the node's
+        whole local state was replaced (a variable may have been dropped).
         The re-evaluated frontier is the changed block nodes plus the
         block-side neighbors of every changed node -- the sharded restriction
         of the incremental scheduler's dirty frontier.  Returns the enabled
@@ -168,15 +152,6 @@ class ShardWorker:
         for node, (kind, values) in deltas.items():
             if kind == "full":
                 self.configuration.replace_node(node, values)
-            elif kind == "shm":
-                if self._shm_view is None:
-                    raise ShardError(
-                        f"shard {self.shard_index} received a shared-memory "
-                        "delta but has no shared-memory mirror"
-                    )
-                self.configuration.update_node(
-                    node, self._shm_view.decode_node(node, values)
-                )
             else:
                 self.configuration.update_node(node, values)
             if node in self._members:
@@ -282,7 +257,7 @@ class ShardWorker:
         reply["executed"] = executed
         if timed:
             instr.count("actions_executed", len(executed))
-            instr.count("fused_rounds")
+            instr.count("fused_round_trips")
             instr.phase_time(PHASE_ACTION_EXEC, time.perf_counter() - started)
             reply["perf"] = instr.summary()
         return reply

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from repro.errors import ReplayError
 from repro.replay.cli import main
+from repro.replay.log import FlightLog
 
 from tests.replay.conftest import record_run
 
@@ -124,10 +126,49 @@ def test_missing_log_is_a_usage_error(tmp_path, capsys):
 
 def test_structurally_damaged_log_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.flight.jsonl"
-    bad.write_text('{"type":"header","version":1}\n{broken\n', encoding="utf-8")
+    bad.write_text(
+        '{"type":"header","version":1}\n{broken\n{"type":"init","config":{}}\n',
+        encoding="utf-8",
+    )
     for command in ("show", "verify", "bisect"):
         assert main([command, str(bad)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def _tear(path):
+    """Simulate a crash mid-write: drop the final entry, cut the last step
+    entry in half.  Returns the number of steps left intact."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[-1])["type"] == "final"
+    lines.pop()
+    assert json.loads(lines[-1])["type"] == "step"
+    torn = lines.pop()
+    steps = sum(1 for raw in lines if json.loads(raw)["type"] == "step")
+    path.write_text("\n".join(lines) + "\n" + torn[: len(torn) // 2], encoding="utf-8")
+    return steps, len(lines) + 1
+
+
+def test_verify_replays_the_valid_prefix_of_a_torn_log(recorded_log, capsys):
+    path, _, _ = recorded_log
+    steps, torn_line = _tear(path)
+    log = FlightLog.load(path)
+    assert log.truncated and log.torn_line == torn_line and log.final is None
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"log truncated -- torn final line {torn_line} dropped" in out
+    assert f"verified: {steps} steps" in out
+
+
+def test_verify_rejects_a_corrupt_middle_line(recorded_log, capsys):
+    path, _, _ = recorded_log
+    lines = path.read_text(encoding="utf-8").splitlines()
+    middle = len(lines) // 2
+    lines[middle] = lines[middle][: len(lines[middle]) // 2]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ReplayError, match=rf"{path.name}:{middle + 1}: not valid JSON"):
+        FlightLog.load(path)
+    assert main(["verify", str(path)]) == 2
+    assert f"{path.name}:{middle + 1}: not valid JSON" in capsys.readouterr().err
 
 
 def test_console_entry_point_is_wired():

@@ -140,7 +140,10 @@ def test_parser_rejects_structural_damage(tmp_path):
         FlightLog.load(empty)
 
     garbage = tmp_path / "garbage.flight.jsonl"
-    garbage.write_text('{"type":"header","version":1}\n{broken\n', encoding="utf-8")
+    garbage.write_text(
+        '{"type":"header","version":1}\n{broken\n{"type":"init","config":{}}\n',
+        encoding="utf-8",
+    )
     with pytest.raises(ReplayError, match=r"garbage\.flight\.jsonl:2: not valid JSON"):
         FlightLog.load(garbage)
 
@@ -153,6 +156,29 @@ def test_parser_rejects_structural_damage(tmp_path):
     future.write_text('{"type":"header","version":999}\n', encoding="utf-8")
     with pytest.raises(ReplayError, match="schema version"):
         FlightLog.load(future)
+
+
+def test_parser_drops_only_a_torn_final_line(tmp_path, recorded_log):
+    path, _, _ = recorded_log
+    intact = FlightLog.load(path)
+    assert not intact.truncated and intact.torn_line is None
+    assert intact.final is not None
+
+    # Trailing blank lines do not hide a tear: the last non-blank line counts.
+    torn = tmp_path / "torn.flight.jsonl"
+    torn.write_text(
+        '{"type":"header","version":1}\n{"type":"init","config":{}}\n{"type":"st\n\n\n',
+        encoding="utf-8",
+    )
+    log = FlightLog.load(torn)
+    assert log.truncated and log.torn_line == 3
+    assert log.entries == [] and log.final is None
+
+    # A tear before the init entry leaves no replayable prefix.
+    headless = tmp_path / "headless.flight.jsonl"
+    headless.write_text('{"type":"header","version":1}\n{"type":"in', encoding="utf-8")
+    with pytest.raises(ReplayError, match="no init entry"):
+        FlightLog.load(headless)
 
 
 def test_parser_reads_damaged_content_without_judging_it(recorded_log):

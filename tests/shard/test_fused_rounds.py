@@ -9,6 +9,8 @@ speculation is only sound if every hazard path -- a mutation landing between
 refresh and step, a daemon swap, a freeze -- falls back to a full mirror
 reload, and if the owner-delta skipping never leaves a worker stale.  All of
 that is pinned here against the single-process reference, inline and forked.
+Fused rounds engage whenever the daemon is synchronous and no race checker is
+attached; every other daemon takes the classic two-trip protocol.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import multiprocessing
 import pytest
 
 from repro.core.dftno import build_dftno
+from repro.core.stno import build_stno
 from repro.graphs import generators
 from repro.runtime.daemon import CentralDaemon, SynchronousDaemon
 from repro.runtime.scheduler import Scheduler
@@ -28,7 +31,11 @@ fork_available = "fork" in multiprocessing.get_all_start_methods()
 MODES = ("inline", "fork") if fork_available else ("inline",)
 
 
-def _pair(protocol_factory, n, seed, mode, shards=2, fused=True, graph_seed=6):
+def _build_stno_bfs():
+    return build_stno(tree="bfs")
+
+
+def _pair(protocol_factory, n, seed, mode, shards=2, graph_seed=6):
     network = generators.random_connected(n, extra_edge_probability=0.3, seed=graph_seed)
     plain = Scheduler(
         network, protocol_factory(), daemon=SynchronousDaemon(), seed=seed
@@ -40,7 +47,6 @@ def _pair(protocol_factory, n, seed, mode, shards=2, fused=True, graph_seed=6):
         seed=seed,
         shards=shards,
         mode=mode,
-        fused_rounds=fused,
     )
     return plain, sharded
 
@@ -57,7 +63,11 @@ def _lockstep(plain, sharded, max_steps=150):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("protocol_factory", (build_dftno, BFSSpanningTree))
+@pytest.mark.parametrize(
+    "protocol_factory",
+    (build_dftno, BFSSpanningTree, _build_stno_bfs),
+    ids=("dftno", "bfs-tree", "stno-bfs"),
+)
 def test_fused_rounds_match_single_process(mode, protocol_factory):
     plain, sharded = _pair(protocol_factory, n=10, seed=6, mode=mode)
     with sharded:
@@ -66,16 +76,33 @@ def test_fused_rounds_match_single_process(mode, protocol_factory):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_fused_and_classic_protocols_agree(mode):
-    """``fused_rounds=False`` must be a pure perf toggle, not a semantics one."""
-    _, fused = _pair(build_dftno, n=10, seed=9, mode=mode, fused=True)
-    _, classic = _pair(build_dftno, n=10, seed=9, mode=mode, fused=False)
+    """Fusing is a pure perf shape, not a semantics one.
+
+    A race checker keeps the synchronous daemon on the classic two-trip
+    protocol, so the two runs below differ only in the round shape.
+    """
+    from repro.lint import ShardRaceChecker
+
+    _, fused = _pair(build_dftno, n=10, seed=9, mode=mode)
+    _, classic = _pair(build_dftno, n=10, seed=9, mode=mode)
+    checker = ShardRaceChecker()
+    classic.race_checker = checker
+    fused_rounds = 0
     with fused, classic:
         for _ in range(150):
+            fused.enabled_nodes()
+            classic.enabled_nodes()
+            fused_rounds += fused._round_results is not None
+            assert classic._round_results is None
             record_fused, record_classic = fused.step(), classic.step()
             assert record_fused == record_classic
             if record_fused is None:
                 break
         assert fused.configuration == classic.configuration
+        assert fused.metrics == classic.metrics
+    assert fused_rounds > 0
+    assert checker.findings == []
+    assert checker.mirror_audits > 0
 
 
 def test_non_synchronous_daemon_never_fuses():
@@ -89,7 +116,6 @@ def test_non_synchronous_daemon_never_fuses():
         seed=6,
         shards=2,
         mode="inline",
-        fused_rounds=True,
     ) as sharded:
         _lockstep(plain, sharded)
         assert sharded._round_results is None
@@ -165,47 +191,9 @@ def test_freeze_between_refresh_and_step_falls_back(mode):
         assert plain.configuration == sharded.configuration
 
 
-@pytest.mark.skipif(not fork_available, reason="shm mirrors need fork mode")
-def test_shared_memory_mirror_engages_and_cleans_up():
-    """Fork mode on an encodable protocol ships deltas via the shm segment."""
-    pytest.importorskip("numpy")
-    plain, sharded = _pair(build_dftno, n=12, seed=4, mode="fork", shards=3)
-    try:
-        assert sharded._shm is not None, "shm mirror should engage (fork + numpy)"
-        assert sharded._shm_view is not None
-        _lockstep(plain, sharded)
-        segment_name = sharded._shm.name
-    finally:
-        sharded.close()
-    assert sharded._shm is None
-    assert sharded._shm_view is None
-    # The segment is unlinked: re-attaching by name must fail.
-    from multiprocessing import shared_memory
-
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=segment_name)
-
-
-def test_shm_absent_without_numpy_or_inline(monkeypatch):
-    """Inline mode never allocates a segment; without numpy neither does fork."""
-    plain, sharded = _pair(build_dftno, n=8, seed=3, mode="inline")
-    with sharded:
-        assert sharded._shm is None
-        _lockstep(plain, sharded)
-
-    import repro.shard.coordinator as coordinator_module
-
-    monkeypatch.setattr(coordinator_module, "HAVE_NUMPY", False)
-    if fork_available:
-        plain, sharded = _pair(build_dftno, n=8, seed=3, mode="fork")
-        with sharded:
-            assert sharded._shm is None
-            _lockstep(plain, sharded)
-
-
 @pytest.mark.parametrize("mode", MODES)
 def test_set_network_mid_run_keeps_equivalence(mode):
-    """Topology swaps rebuild mirrors (and drop shm) without diverging."""
+    """Topology swaps rebuild mirrors without diverging."""
     plain, sharded = _pair(build_dftno, n=10, seed=2, mode=mode)
     replacement = generators.random_connected(10, seed=12)
     with sharded:

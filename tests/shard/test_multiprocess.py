@@ -8,12 +8,16 @@ and crash reporting across the process boundary.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import os
+import signal
 
 import pytest
 
 from repro.api import NetworkSpec, RunSpec, run
 from repro.core.dftno import build_dftno
+from repro.core.stno import build_stno
 from repro.graphs import generators
 from repro.runtime.daemon import make_daemon
 from repro.runtime.scheduler import Scheduler
@@ -69,6 +73,36 @@ def test_worker_crash_surfaces_as_shard_error_with_traceback():
             sharded._command({0: ("no-such-command",)})
     finally:
         sharded.close()
+
+
+def test_killed_worker_fails_the_next_step_with_a_typed_error(capfd):
+    """A SIGKILLed worker must not surface as a raw ``BrokenPipeError``."""
+    network = generators.grid(5, 5)
+    sharded = ShardedScheduler(
+        network,
+        build_stno(tree="bfs"),
+        daemon=make_daemon("distributed"),
+        seed=0,
+        shards=2,
+        mode="fork",
+    )
+    processes = [handle.process for handle in sharded._shards]
+    # Step until a move changes state: its owner is then addressed by the
+    # next step's frontier exchange.
+    record = sharded.step()
+    while not record.changed_nodes:
+        record = sharded.step()
+    victim = sharded.partition.owner_of(record.changed_nodes[0])
+    os.kill(processes[victim].pid, signal.SIGKILL)
+    processes[victim].join(timeout=5)
+    with pytest.raises(ShardError, match=f"shard {victim} worker process"):
+        sharded.step()
+    sharded.close()  # already closed by the failure: a no-op
+    assert all(not process.is_alive() for process in processes)
+    del sharded
+    gc.collect()
+    err = capfd.readouterr().err
+    assert "Exception ignored" not in err and "BufferError" not in err
 
 
 def test_registry_engine_defaults_to_processes_and_matches_scheduler_rows():
