@@ -8,8 +8,12 @@ history with explicit thresholds::
 
     PYTHONPATH=src python scripts/check_perf.py                       # defaults
     PYTHONPATH=src python scripts/check_perf.py \
-        --current BENCH_scheduler.json --history BENCH_history.jsonl \
+        --current BENCH_engines.json --history BENCH_history.jsonl \
         --max-ratio 2.0 --require-history                             # CI gate
+
+``--current`` is a single bench payload or a ``benchmarks/bench_engines.py``
+artifact (one payload per case), from which the ``--benchmark`` payload is
+judged.
 
 Three gates, machine-robust by construction:
 
@@ -49,7 +53,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-DEFAULT_CURRENT = REPO_ROOT / "BENCH_scheduler.json"
+DEFAULT_CURRENT = REPO_ROOT / "BENCH_engines.json"
 DEFAULT_HISTORY = REPO_ROOT / "BENCH_history.jsonl"
 
 #: A phase-time regression is a normalized per-step cost more than this many
@@ -329,6 +333,22 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: {args.current} is not valid JSON: {exc}", file=sys.stderr)
         return 2
+    if isinstance(current, dict) and "benchmark" not in current:
+        current = next(
+            (
+                payload
+                for payload in current.values()
+                if isinstance(payload, dict)
+                and payload.get("benchmark") == args.benchmark
+            ),
+            None,
+        )
+        if current is None:
+            print(
+                f"error: {args.current} holds no {args.benchmark!r} payload",
+                file=sys.stderr,
+            )
+            return 2
     if "calibration_seconds" not in current:
         # Artifact files predate the calibration stamp (history lines carry
         # it); measure this machine now so gate 3 can normalize.

@@ -17,42 +17,19 @@ python -m pytest -x -q "$@"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
-# --- scheduler-core micro-bench (quick variant) ----------------------------
-# Times the incremental enabled-set core against the historical full scan on
-# small sizes and writes the BENCH_scheduler.json artifact; the full sweep
-# (n up to 500, with the 3x acceptance threshold) runs in CI and on demand.
-# The quick bench also asserts the observability-layer thresholds
-# (disabled-path overhead <= 3%, enabled phase coverage >= 90%, telemetry
-# never perturbs the execution) and appends one line to the repo's
-# perf-trajectory history -- local runs feed BENCH_history.jsonl too, so the
-# trajectory the check_perf gate compares against actually accumulates.
+# --- engine benches (quick sweeps) -----------------------------------------
+# One harness, three cases: the incremental scheduler core against the full
+# scan (plus the observability budgets: disabled-path overhead <= 3%, phase
+# coverage >= 90%, recorder <= 5%, telemetry never perturbs the execution),
+# the sharded engine against the single-process core, and the vectorized
+# engine against per-node dispatch -- each asserting identical executions.
+# The full sweeps with the speedup thresholds run on demand.  Each case
+# appends one line to the repo's perf-trajectory history, so local runs feed
+# BENCH_history.jsonl too and the check_perf trajectory accumulates.
 history_before="$( [ -f BENCH_history.jsonl ] && wc -l < BENCH_history.jsonl || echo 0 )"
-python benchmarks/bench_scheduler_core.py --quick \
-    --out "$out/BENCH_scheduler.json"
-test -s "$out/BENCH_scheduler.json" || {
-    echo "smoke FAILED: scheduler bench artifact missing" >&2; exit 1;
-}
-
-# --- sharded-engine micro-bench (quick variant) ----------------------------
-# Times the multi-process sharded engine against the single-process
-# incremental core on a small size (and asserts the executions are
-# identical); the full sweep with the n=1000/k=4 speedup threshold runs in
-# CI's sharded job and on demand.
-python benchmarks/bench_sharded.py --quick \
-    --out "$out/BENCH_sharded.json"
-test -s "$out/BENCH_sharded.json" || {
-    echo "smoke FAILED: sharded bench artifact missing" >&2; exit 1;
-}
-
-# --- vectorized-engine micro-bench (quick variant) -------------------------
-# Times the batch-kernel synchronous engine against per-node dispatch on a
-# small size (and asserts the executions are identical); the full sweep with
-# the n=5000 speedup threshold runs in CI's vectorized job and on demand.
-# Degrades honestly ("threshold: not applicable") when numpy is absent.
-python benchmarks/bench_vectorized.py --quick \
-    --out "$out/BENCH_vectorized.json"
-test -s "$out/BENCH_vectorized.json" || {
-    echo "smoke FAILED: vectorized bench artifact missing" >&2; exit 1;
+python benchmarks/bench_engines.py --quick --out "$out/BENCH_engines.json"
+test -s "$out/BENCH_engines.json" || {
+    echo "smoke FAILED: engine bench artifact missing" >&2; exit 1;
 }
 history_after="$(wc -l < BENCH_history.jsonl)"
 if [ "$((history_after - history_before))" -ne 3 ]; then
@@ -62,7 +39,7 @@ if [ "$((history_after - history_before))" -ne 3 ]; then
 fi
 
 # --- perf regression gate against the accumulated trajectory ---------------
-python scripts/check_perf.py --current "$out/BENCH_scheduler.json" \
+python scripts/check_perf.py --current "$out/BENCH_engines.json" \
     --history BENCH_history.jsonl --require-history
 
 python -m repro.campaign run --protocol dftno --family ring \

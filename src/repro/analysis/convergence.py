@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, asdict
-from functools import partial
 from typing import Callable, Sequence
 
 from repro.core.dftno import build_dftno
@@ -87,7 +86,6 @@ def measure_layered_stabilization(
     label: str | None = None,
     configuration: Configuration | None = None,
     observers: Sequence[Observer] = (),
-    incremental: bool = True,
     scheduler_factory: Callable[..., Scheduler] | None = None,
     instrumentation: Instrumentation | None = None,
 ) -> StabilizationSample:
@@ -103,22 +101,19 @@ def measure_layered_stabilization(
     of consecutive steps or the step budget is exhausted.  ``configuration``
     overrides the (default: arbitrary) starting configuration.  ``observers``
     receive every step/round notification plus ``on_converged`` with the
-    finished sample.  ``incremental=False`` forces the scheduler's historical
-    full guard scan (the ``scheduler-fullscan`` differential-testing path).
-    ``scheduler_factory`` substitutes a whole alternative execution core --
-    the ``scheduler-sharded`` engine passes
-    :class:`~repro.shard.ShardedScheduler` here -- and overrides
-    ``incremental``; a factory-built scheduler exposing ``close()`` is closed
-    when the measurement ends.
+    finished sample.  ``scheduler_factory`` (default: the incremental
+    :class:`~repro.runtime.scheduler.Scheduler`) picks the execution core --
+    ``partial(Scheduler, incremental=False)`` for the ``scheduler-fullscan``
+    differential-testing path, :class:`~repro.shard.ShardedScheduler` for
+    ``scheduler-sharded``; a factory-built scheduler exposing ``close()`` is
+    closed when the measurement ends.
     """
     rng = random.Random(seed)
     daemon = daemon or DistributedDaemon()
     if max_steps is None:
         max_steps = 500 * (network.n + network.num_edges()) + 3_000
 
-    if scheduler_factory is None:
-        scheduler_factory = partial(Scheduler, incremental=incremental)
-    scheduler = scheduler_factory(
+    scheduler = (scheduler_factory or Scheduler)(
         network,
         protocol,
         daemon=daemon,
@@ -235,7 +230,6 @@ def measure_dftno(
     parameter: int | None = None,
     after_substrate: bool = False,
     observers: Sequence[Observer] = (),
-    incremental: bool = True,
     scheduler_factory: Callable[..., Scheduler] | None = None,
     instrumentation: Instrumentation | None = None,
 ) -> StabilizationSample:
@@ -265,7 +259,6 @@ def measure_dftno(
         label="dftno",
         configuration=configuration,
         observers=observers,
-        incremental=incremental,
         scheduler_factory=scheduler_factory,
         instrumentation=instrumentation,
     )
@@ -280,7 +273,6 @@ def measure_stno(
     parameter: int | None = None,
     after_substrate: bool = False,
     observers: Sequence[Observer] = (),
-    incremental: bool = True,
     scheduler_factory: Callable[..., Scheduler] | None = None,
     instrumentation: Instrumentation | None = None,
 ) -> StabilizationSample:
@@ -316,7 +308,6 @@ def measure_stno(
         label=protocol.name,
         configuration=configuration,
         observers=observers,
-        incremental=incremental,
         scheduler_factory=scheduler_factory,
         instrumentation=instrumentation,
     )

@@ -274,19 +274,14 @@ class SchedulerEngine(Engine):
         tracker (:class:`~repro.errors.GuardLocalityError` on violation)
         without touching the ``REPRO_DEBUG_GUARDS`` environment.
         """
+        from functools import partial
+
+        from repro.runtime.scheduler import Scheduler
+
+        kwargs: dict[str, object] = {"incremental": self.incremental}
         if spec.debug and spec.debug.get("check_guard_locality"):
-            from functools import partial
-
-            from repro.runtime.scheduler import Scheduler
-
-            return {
-                "scheduler_factory": partial(
-                    Scheduler,
-                    incremental=self.incremental,
-                    check_guard_locality=True,
-                )
-            }
-        return {"incremental": self.incremental}
+            kwargs["check_guard_locality"] = True
+        return {"scheduler_factory": partial(Scheduler, **kwargs)}
 
     def execute(
         self,

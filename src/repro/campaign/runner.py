@@ -63,11 +63,6 @@ def _handler_accepts(handler: Callable[..., dict], keyword: str) -> bool:
     )
 
 
-def _handler_accepts_observers(handler: Callable[..., dict]) -> bool:
-    """Back-compat alias for :func:`_handler_accepts` with ``observers``."""
-    return _handler_accepts(handler, "observers")
-
-
 def run_task(
     spec: TaskSpec,
     live_every: int | None = None,

@@ -47,7 +47,7 @@ from repro.runtime.observers import (
 )
 from repro.runtime.trace import Trace, TraceEvent
 from repro.runtime.metrics import ExecutionMetrics, space_bits_per_node, space_summary
-from repro.runtime.faults import random_configuration, corrupt_configuration, FaultInjector
+from repro.runtime.faults import random_configuration, corrupt_configuration
 
 __all__ = [
     "VariableSpec",
@@ -86,5 +86,4 @@ __all__ = [
     "space_summary",
     "random_configuration",
     "corrupt_configuration",
-    "FaultInjector",
 ]

@@ -8,21 +8,20 @@ that concrete for experiments:
 * :func:`random_configuration` draws a fully arbitrary configuration from the
   protocol's variable domains (the worst case the definition allows);
 * :func:`corrupt_configuration` perturbs an existing configuration at a chosen
-  fraction of processors/variables (a "partial" fault);
-* :class:`FaultInjector` applies corruption bursts to a running scheduler at
-  chosen steps, for recovery experiments (EXP-R1) and the fault-recovery
-  example application.
+  fraction of processors/variables (a "partial" fault).
+
+Corruption bursts *during* a run are scenario events
+(:class:`~repro.scenarios.events.CorruptionBurst`, run by
+:class:`~repro.scenarios.runner.ScenarioRunner`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from repro.graphs.network import RootedNetwork
 from repro.runtime.configuration import Configuration
 from repro.runtime.protocol import Protocol
-from repro.runtime.scheduler import Scheduler
 
 
 def random_configuration(
@@ -81,41 +80,4 @@ def _fraction_count(fraction: float, total: int) -> int:
     return max(1, round(fraction * total))
 
 
-@dataclass
-class FaultInjector:
-    """Injects corruption bursts into a running :class:`Scheduler`.
-
-    ``schedule`` maps step indices to ``(node_fraction, variable_fraction)``
-    pairs; :meth:`maybe_inject` is called by the experiment loop after each
-    step and applies the burst when its step arrives.
-    """
-
-    protocol: Protocol
-    network: RootedNetwork
-    schedule: dict[int, tuple[float, float]] = field(default_factory=dict)
-    seed: int | None = None
-    injected_at: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-
-    def maybe_inject(self, scheduler: Scheduler) -> bool:
-        """Apply a scheduled burst if one is due at the scheduler's current step."""
-        step = scheduler.steps_executed
-        if step not in self.schedule or step in self.injected_at:
-            return False
-        node_fraction, variable_fraction = self.schedule[step]
-        corrupted = corrupt_configuration(
-            scheduler.configuration,
-            self.protocol,
-            self.network,
-            node_fraction=node_fraction,
-            variable_fraction=variable_fraction,
-            rng=self._rng,
-        )
-        scheduler.set_configuration(corrupted)
-        self.injected_at.append(step)
-        return True
-
-
-__all__ = ["random_configuration", "corrupt_configuration", "FaultInjector"]
+__all__ = ["random_configuration", "corrupt_configuration"]

@@ -277,7 +277,7 @@ class Scheduler:
         # Maintained sorted/immutable view of the non-frozen enabled nodes.
         # Steps used to re-sort the enabled-set (and daemons to copy it) every
         # step, which is what flattened the incremental core's win near ~5x in
-        # BENCH_scheduler.json; the view is rebuilt only when enabled-set
+        # the scheduler-core bench; the view is rebuilt only when enabled-set
         # *membership* (or the frozen set) actually changes.
         self._enabled_order: tuple[int, ...] | None = None
         self._enabled_members: frozenset[int] | None = None

@@ -8,8 +8,7 @@ event, measure the disturbance it caused, and time the re-stabilization --
 and returns a :class:`~repro.analysis.recovery.ScenarioReport` with one
 :class:`~repro.analysis.recovery.EventRecovery` per event.
 
-This subsumes the old hard-coded ``FaultInjector`` step schedule of EXP-R1:
-a corruption burst is now just one event kind among crash/rejoin, link
+A corruption burst is one event kind among crash/rejoin, link
 dynamics and daemon switches, and the recovery bookkeeping lives in
 :mod:`repro.analysis.recovery` instead of each experiment loop.
 """
@@ -17,8 +16,6 @@ dynamics and daemon switches, and the recovery bookkeeping lives in
 from __future__ import annotations
 
 import random
-
-from functools import partial
 from typing import Callable, Sequence
 
 from repro.analysis.recovery import EventRecovery, ScenarioReport, disturbed_nodes
@@ -62,13 +59,9 @@ class ScenarioRunner:
         recovery phase ends, and ``on_converged`` with the final
         :class:`~repro.analysis.recovery.ScenarioReport` when the whole
         scenario recovered.
-    incremental:
-        Forwarded to the :class:`~repro.runtime.scheduler.Scheduler`;
-        ``False`` forces the historical full guard scan (differential
-        testing of the incremental enabled-set under scenario events).
     scheduler_factory:
-        Substitute a whole alternative execution core (overrides
-        ``incremental``): the sharded engine passes
+        The execution core (default: the incremental
+        :class:`~repro.runtime.scheduler.Scheduler`): the sharded engine passes
         :class:`~repro.shard.ShardedScheduler` here, and because every event
         mutates the run through the scheduler's journaled configuration
         paths, fault injection routes to the owning shard with no
@@ -90,7 +83,6 @@ class ScenarioRunner:
         phase_budget: int | None = None,
         watch_variables: tuple[str, ...] | None = ORIENTATION_VARIABLES,
         observers: Sequence[Observer] = (),
-        incremental: bool = True,
         scheduler_factory: Callable[..., Scheduler] | None = None,
         instrumentation: Instrumentation | None = None,
     ) -> None:
@@ -109,17 +101,13 @@ class ScenarioRunner:
         # A list, not a tuple: failure isolation disables (removes) an
         # observer that raises, here exactly as inside the scheduler.
         self.observers = list(observers)
-        self.incremental = incremental
         self.scheduler_factory = scheduler_factory
         self.instrumentation = instrumentation
 
     def run(self) -> ScenarioReport:
         """Execute the scenario once and return the full recovery report."""
         rng = random.Random(self.seed)
-        factory = self.scheduler_factory or partial(
-            Scheduler, incremental=self.incremental
-        )
-        scheduler = factory(
+        scheduler = (self.scheduler_factory or Scheduler)(
             self.network,
             self.protocol,
             daemon=self.daemon,

@@ -395,10 +395,10 @@ def test_scenario_executions_are_identical_across_cores(scenario_name, shards):
     """
     reports = {}
     for key, kwargs in (
-        ("reference", {"incremental": True}),
+        ("reference", {}),
         (
             "candidate",
-            {"incremental": False}
+            {"scheduler_factory": partial(Scheduler, incremental=False)}
             if shards is None
             else {
                 "scheduler_factory": partial(

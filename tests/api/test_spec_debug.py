@@ -34,8 +34,8 @@ def test_debug_must_be_a_mapping() -> None:
 
 def test_scheduler_engine_arms_the_guard_tracker() -> None:
     engine = SchedulerEngine()
-    plain = engine._scheduler_kwargs(RunSpec())
-    assert plain == {"incremental": True}
+    plain = engine._scheduler_kwargs(RunSpec())["scheduler_factory"]
+    assert plain.keywords == {"incremental": True}
     armed = engine._scheduler_kwargs(RunSpec(debug={"check_guard_locality": True}))
     factory = armed["scheduler_factory"]
     assert isinstance(factory, partial)

@@ -100,7 +100,7 @@ def _scenario_run(stack, scenario, daemon, engine, observers):
     factory, family = STACKS[stack]
     kwargs = {}
     if engine == "scheduler-fullscan":
-        kwargs["incremental"] = False
+        kwargs["scheduler_factory"] = partial(Scheduler, incremental=False)
     elif engine == "scheduler-sharded":
         kwargs["scheduler_factory"] = partial(ShardedScheduler, shards=2, mode="inline")
     return ScenarioRunner(
