@@ -34,6 +34,22 @@ from repro.runtime.protocol import Protocol
 from repro.runtime.scheduler import Scheduler
 from repro.substrates.spanning_tree import BFSSpanningTree, SpanningTreeProtocol
 
+
+def step_budget(network: RootedNetwork) -> int:
+    """Default step budget of a stabilization run: ``500 (n + m) + 3000``."""
+    return 500 * (network.n + network.num_edges()) + 3_000
+
+
+def closure_window(network: RootedNetwork) -> int:
+    """Closure window ``3 (n + m) + 10``: at least one full token wave.
+
+    Legitimacy must keep holding over this many consecutive observations
+    (O(n + m) moves) before a run counts as stabilized, so a transiently
+    satisfied specification is not mistaken for the stabilized one.
+    """
+    return 3 * (network.n + network.num_edges()) + 10
+
+
 @dataclass(frozen=True)
 class StabilizationSample:
     """One measured execution of a layered protocol."""
@@ -92,13 +108,15 @@ def measure_layered_stabilization(
     """Run ``protocol`` from an arbitrary configuration and time both predicates.
 
     ``substrate`` is the layer stack under the orientation layer (a sub-stack
-    of ``protocol``).  After every computation step the scheduler's
-    :class:`~repro.runtime.legitimacy.LegitimacyMonitor` answers whether the
-    substrate's layers, and whether all of ``protocol``'s layers, are
-    legitimate; the recorded time is the first step (and round) after which
-    the predicate held continuously until the end of the run.  The run
-    ends as soon as the full predicate has held for a full-wave closure window
-    of consecutive steps or the step budget is exhausted.  ``configuration``
+    of ``protocol``).  The run goes through
+    :meth:`~repro.runtime.scheduler.Scheduler.stabilize`, which reads the
+    substrate's and the whole protocol's legitimacy from the scheduler's
+    :class:`~repro.runtime.legitimacy.LegitimacyMonitor` at the start and
+    after every step; each recorded time is the first step (and round) of the
+    predicate's final streak.  The run ends once the full predicate has held
+    for :func:`closure_window` consecutive observations, the start counting
+    as one (``closure_window - 1`` steps), or when ``max_steps`` (default
+    :func:`step_budget`) steps have run.  ``configuration``
     overrides the (default: arbitrary) starting configuration.  ``observers``
     receive every step/round notification plus ``on_converged`` with the
     finished sample.  ``scheduler_factory`` (default: the incremental
@@ -110,9 +128,6 @@ def measure_layered_stabilization(
     """
     rng = random.Random(seed)
     daemon = daemon or DistributedDaemon()
-    if max_steps is None:
-        max_steps = 500 * (network.n + network.num_edges()) + 3_000
-
     scheduler = (scheduler_factory or Scheduler)(
         network,
         protocol,
@@ -123,46 +138,12 @@ def measure_layered_stabilization(
         instrumentation=instrumentation,
     )
     try:
-        substrate_step: int | None = None
-        substrate_round: int | None = None
-        full_step: int | None = None
-        full_round: int | None = None
-        # Confirm legitimacy over at least one full token wave (O(n + m)
-        # moves) so that a transiently satisfied specification is not
-        # mistaken for the stabilized one.
-        closure_window = 3 * (network.n + network.num_edges()) + 10
-        held_for = 0
-
-        monitor = scheduler.legitimacy
-
-        def observe() -> None:
-            nonlocal substrate_step, substrate_round, full_step, full_round, held_for
-            if monitor.legitimate(substrate):
-                if substrate_step is None:
-                    substrate_step = scheduler.steps_executed
-                    substrate_round = scheduler.rounds_completed
-            else:
-                substrate_step = None
-                substrate_round = None
-            if monitor.legitimate():
-                if full_step is None:
-                    full_step = scheduler.steps_executed
-                    full_round = scheduler.rounds_completed
-                held_for += 1
-            else:
-                full_step = None
-                full_round = None
-                held_for = 0
-
-        observe()
-        while scheduler.steps_executed < max_steps and held_for < closure_window:
-            if scheduler.step() is None:
-                break
-            observe()
-
-        # Confirm the final verdicts against the reference predicates.
-        monitor.audit()
-        converged = full_step is not None
+        # The start counts as one of the window's legitimate observations.
+        streak = scheduler.stabilize(
+            max_steps if max_steps is not None else step_budget(network),
+            hold_steps=closure_window(network) - 1,
+            substrate=substrate,
+        )
         sample = StabilizationSample(
             protocol=label or protocol.name,
             network=network.name,
@@ -171,15 +152,15 @@ def measure_layered_stabilization(
             parameter=parameter if parameter is not None else network.n,
             daemon=daemon.name,
             seed=seed if seed is not None else -1,
-            converged=converged,
+            converged=streak.legitimate,
             total_steps=scheduler.steps_executed,
             total_rounds=scheduler.rounds_completed,
-            substrate_steps=substrate_step,
-            substrate_rounds=substrate_round,
-            full_steps=full_step,
-            full_rounds=full_round,
+            substrate_steps=streak.substrate_step,
+            substrate_rounds=streak.substrate_round,
+            full_steps=streak.first_step,
+            full_rounds=streak.first_round,
         )
-        if converged:
+        if sample.converged:
             scheduler.notify_converged(sample)
         return sample
     finally:
@@ -393,6 +374,8 @@ height_controlled_tree = _height_controlled_tree
 
 __all__ = [
     "StabilizationSample",
+    "closure_window",
+    "step_budget",
     "measure_layered_stabilization",
     "measure_dftno",
     "measure_stno",

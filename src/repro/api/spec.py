@@ -141,11 +141,11 @@ class StopSpec:
     """When a run is allowed (or forced) to end.
 
     ``max_steps`` bounds the daemon-step engines (``None`` -> the harness
-    default ``500 * (n + m) + 3000``); ``max_rounds`` bounds the synchronous
-    message-passing engine (``None`` -> its default).  ``after_substrate``
-    starts the run from a configuration whose substrate layer is already
-    stabilized (the theorems' phrasing); it is only meaningful for the
-    ``scheduler`` engine.
+    default :func:`~repro.analysis.convergence.step_budget`); ``max_rounds``
+    bounds the synchronous message-passing engine (``None`` -> its default).
+    ``after_substrate`` starts the run from a configuration whose substrate
+    layer is already stabilized (the theorems' phrasing); it is only
+    meaningful for the ``scheduler`` engine.
     """
 
     max_steps: int | None = None

@@ -169,13 +169,14 @@ def run_race_check(
     converge, which would itself indicate an engine bug on these small
     instances).
     """
+    from repro.analysis.convergence import step_budget
     from repro.api.engines import build_protocol
     from repro.graphs.generators import family as build_family
     from repro.shard import ShardedScheduler
 
     network = build_family(family, size, seed=seed)
     checker = ShardRaceChecker(stride=stride)
-    budget = max_steps if max_steps is not None else 500 * (size + network.num_edges()) + 3000
+    budget = max_steps if max_steps is not None else step_budget(network)
     with ShardedScheduler(
         network,
         build_protocol(protocol),

@@ -13,11 +13,10 @@ structured **anomaly** when a run stops looking like that:
   paper's protocols (token circulation, Dijkstra's ring, PIF waves) cycle
   through configurations forever *by design* once legitimate -- only an
   **illegitimate** cycle is an anomaly.
-* ``round_budget`` -- the completed-round count exceeded
-  ``budget_multiple x round_budget``.  The budget defaults to a generous
-  multiple of ``n + m`` (the protocols' bounds are O(n) / O(h) rounds, so a
-  healthy run never gets near it); it is the "this should have converged by
-  now" alarm the future ``repro-campaign hunt`` mode searches for.
+* ``round_budget`` -- the completed-round count exceeded ``round_budget``.
+  The budget defaults to a generous multiple of ``n + m`` (the protocols'
+  bounds are O(n) / O(h) rounds, so a healthy run never gets near it); it is
+  the "this should have converged by now" alarm.
 
 Anomalies are emitted three ways at once, so every consumer sees them:
 
@@ -89,10 +88,8 @@ class HealthMonitor(Observer):
     round_budget:
         Completed-round budget; ``None`` (default) derives
         ``DEFAULT_BUDGET_FACTOR * (n + m) + DEFAULT_BUDGET_BASE`` from the
-        source's network on the first step.
-    budget_multiple:
-        The budget anomaly fires when ``rounds > budget_multiple *
-        round_budget`` (a knob for hunt modes that want an early alarm).
+        source's network on the first step.  The budget anomaly fires when
+        ``rounds > round_budget``.
     check_every:
         Fingerprint the configuration every this many steps.
     cycle_window / cycle_repeats:
@@ -106,7 +103,6 @@ class HealthMonitor(Observer):
     def __init__(
         self,
         round_budget: int | None = None,
-        budget_multiple: float = 1.0,
         check_every: int = DEFAULT_CHECK_EVERY,
         cycle_window: int = DEFAULT_CYCLE_WINDOW,
         cycle_repeats: int = DEFAULT_CYCLE_REPEATS,
@@ -118,10 +114,7 @@ class HealthMonitor(Observer):
             raise ValueError("cycle_window must be >= 2")
         if cycle_repeats < 1:
             raise ValueError("cycle_repeats must be >= 1")
-        if budget_multiple <= 0:
-            raise ValueError("budget_multiple must be > 0")
         self.round_budget = round_budget
-        self.budget_multiple = budget_multiple
         self.check_every = check_every
         self.cycle_window = cycle_window
         self.cycle_repeats = cycle_repeats
@@ -171,16 +164,12 @@ class HealthMonitor(Observer):
     def _check_budget(self, source: Any) -> None:
         if self._budget_fired or self._derived_budget is None:
             return
-        limit = self.budget_multiple * self._derived_budget
-        if self.rounds > limit:
+        if self.rounds > self._derived_budget:
             self._budget_fired = True
             self._emit(
                 source,
                 kind="round_budget",
-                detail=(
-                    f"completed {self.rounds} rounds, budget "
-                    f"{self._derived_budget} (x{self.budget_multiple:g})"
-                ),
+                detail=f"completed {self.rounds} rounds, budget {self._derived_budget}",
             )
 
     def _check_cycle(self, source: Any) -> None:

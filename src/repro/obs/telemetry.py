@@ -78,17 +78,12 @@ class ConvergenceTelemetryObserver(Observer):
     max_samples:
         Bound on the retained series length; reaching it decimates the series
         (every other sample dropped) instead of growing without bound.
-    track_legitimacy:
-        Evaluate the protocol's legitimacy predicate at each sample (only at
-        the stride -- never per step).  Costs one predicate evaluation per
-        sample; switch off for very hot sweeps.
     """
 
     def __init__(
         self,
         stride: int = DEFAULT_STRIDE,
         max_samples: int = DEFAULT_MAX_SAMPLES,
-        track_legitimacy: bool = True,
     ) -> None:
         if stride < 1:
             raise ValueError("stride must be >= 1")
@@ -96,7 +91,6 @@ class ConvergenceTelemetryObserver(Observer):
             raise ValueError("max_samples must be >= 2")
         self.stride = stride
         self.max_samples = max_samples
-        self.track_legitimacy = track_legitimacy
         #: Retained series rows, each ordered like :data:`SAMPLE_COLUMNS`.
         self.samples: list[list[Any]] = []
         self.guard_heat: dict[str, int] = {}
@@ -147,9 +141,6 @@ class ConvergenceTelemetryObserver(Observer):
         enabled_nodes = getattr(source, "enabled_nodes", None)
         if callable(enabled_nodes):
             enabled = len(enabled_nodes())
-        legitimate: int | None = None
-        if self.track_legitimacy:
-            legitimate = self._legitimacy(source)
         self.samples.append(
             [
                 record.step,
@@ -157,7 +148,7 @@ class ConvergenceTelemetryObserver(Observer):
                 enabled,
                 len(getattr(record, "changed_nodes", ())),
                 len(getattr(record, "executed", ())),
-                legitimate,
+                self._legitimacy(source),
                 self._distance(source),
             ]
         )

@@ -157,19 +157,11 @@ class TraceObserver(Observer):
     to trace any engine that emits step records.  ``max_records`` bounds the
     trace with a ring buffer (the newest ``max_records`` moves are retained,
     ``trace.dropped`` counts evictions), so long chaotic-phase runs can trace
-    without unbounded growth; it takes precedence over the legacy ``limit``
-    alias when both are given.
+    without unbounded growth; ``None`` keeps every move.
     """
 
-    def __init__(
-        self,
-        limit: int | None = 100_000,
-        trace: Trace | None = None,
-        max_records: int | None = None,
-    ) -> None:
-        if trace is None:
-            trace = Trace(limit=max_records if max_records is not None else limit)
-        self.trace = trace
+    def __init__(self, max_records: int | None = 100_000) -> None:
+        self.trace = Trace(limit=max_records)
 
     def on_step(self, source: Any, record: "StepRecord") -> None:
         for move in record.moves:

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.errors import ConvergenceError, GuardLocalityError, SchedulingError
+from repro.errors import GuardLocalityError, SchedulingError
 from repro.graphs.network import RootedNetwork
 from repro.obs.instrument import (
     Instrumentation,
@@ -124,8 +124,8 @@ class RunResult:
     terminated:
         ``True`` when no action was enabled anymore (silent protocols).
     converged:
-        ``True`` when the requested stop predicate (usually legitimacy) was
-        reached.
+        ``True`` when the run reached what it was asked for: see
+        :meth:`Scheduler.run` and :meth:`Scheduler.run_until_legitimate`.
     first_legitimate_step / first_legitimate_round:
         The step/round at which the protocol's legitimacy predicate first
         became true and then remained true until the end of the observed
@@ -158,6 +158,23 @@ class RunResult:
     def stabilization_rounds(self) -> int | None:
         """Alias for :attr:`first_legitimate_round`."""
         return self.first_legitimate_round
+
+
+@dataclass(frozen=True)
+class Streak:
+    """Where :meth:`Scheduler.stabilize` stopped.
+
+    ``first_step``/``first_round`` (and the ``substrate_`` pair) are where the
+    final legitimacy streak began, ``None`` when the run ended illegitimate.
+    """
+
+    terminated: bool
+    stopped: bool
+    legitimate: bool
+    first_step: int | None
+    first_round: int | None
+    substrate_step: int | None
+    substrate_round: int | None
 
 
 class Scheduler:
@@ -224,7 +241,6 @@ class Scheduler:
         seed: int | None = None,
         rng: random.Random | None = None,
         record_trace: bool = False,
-        trace_limit: int | None = 100_000,
         observers: Sequence[Observer] = (),
         incremental: bool = True,
         check_guard_locality: bool | None = None,
@@ -251,7 +267,7 @@ class Scheduler:
         # the list preserves the historical update order (counters before any
         # external consumer sees the step).
         self._metrics_observer = MetricsObserver()
-        self._trace_observer = TraceObserver(limit=trace_limit) if record_trace else None
+        self._trace_observer = TraceObserver() if record_trace else None
         self._observers: list[Observer] = [self._metrics_observer]
         if self._trace_observer is not None:
             self._observers.append(self._trace_observer)
@@ -630,6 +646,57 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Whole runs
     # ------------------------------------------------------------------
+    def stabilize(
+        self,
+        max_steps: int,
+        hold_steps: int | None = None,
+        stop_predicate: Callable[["Scheduler"], bool] | None = None,
+        substrate: Protocol | None = None,
+    ) -> Streak:
+        """The one run loop: step while tracking since when legitimacy has held.
+
+        Legitimacy of the protocol (and of the ``substrate`` sub-stack) is
+        read from :attr:`legitimacy` at the start and after every step.  The
+        run stops on termination, at ``max_steps``, when ``stop_predicate``
+        holds, or once legitimacy has held for ``hold_steps`` steps since it
+        last became true.  The final verdict is audited against the layers'
+        reference predicates.
+        """
+        monitor = self.legitimacy
+        first_step = first_round = None
+        substrate_step = substrate_round = None
+        terminated = stopped = False
+        while True:
+            if substrate is not None:
+                if not monitor.legitimate(substrate):
+                    substrate_step = substrate_round = None
+                elif substrate_step is None:
+                    substrate_step, substrate_round = self._step_index, self._round_index
+            if not monitor.legitimate():
+                first_step = first_round = None
+            else:
+                if first_step is None:
+                    first_step, first_round = self._step_index, self._round_index
+                if hold_steps is not None and self._step_index - first_step >= hold_steps:
+                    break
+            if stop_predicate is not None and stop_predicate(self):
+                stopped = True
+                break
+            if self._step_index >= max_steps:
+                break
+            if self.step() is None:
+                terminated = True
+                break
+        return Streak(
+            terminated=terminated,
+            stopped=stopped,
+            legitimate=monitor.audit(),
+            first_step=first_step,
+            first_round=first_round,
+            substrate_step=substrate_step,
+            substrate_round=substrate_round,
+        )
+
     def run(
         self,
         max_steps: int = 100_000,
@@ -637,125 +704,39 @@ class Scheduler:
     ) -> RunResult:
         """Execute until termination, ``stop_predicate`` holds, or ``max_steps``.
 
-        The returned :class:`RunResult` also reports the first step/round at
-        which the protocol's legitimacy predicate became true and stayed true
-        for the rest of the observed execution.  Legitimacy is read from
-        :attr:`legitimacy` after every step; the final verdict is audited
-        against the layers' reference predicates once per run.
+        Converged means the predicate held, or the run terminated while
+        legitimate.  The first legitimate step/round are where the final
+        legitimacy streak began (see :meth:`stabilize`).
         """
-        first_legitimate_step: int | None = None
-        first_legitimate_round: int | None = None
+        streak = self.stabilize(max_steps, stop_predicate=stop_predicate)
+        return self._result(streak, streak.stopped or (streak.terminated and streak.legitimate))
 
-        def note_legitimacy() -> None:
-            nonlocal first_legitimate_step, first_legitimate_round
-            if self.legitimacy.legitimate():
-                if first_legitimate_step is None:
-                    first_legitimate_step = self._step_index
-                    first_legitimate_round = self._round_index
-            else:
-                first_legitimate_step = None
-                first_legitimate_round = None
+    def run_until_legitimate(self, max_steps: int = 100_000, confirm_steps: int = 0) -> RunResult:
+        """Run until legitimacy has held for ``confirm_steps`` steps, or ``max_steps``.
 
-        note_legitimacy()
-        converged = bool(stop_predicate and stop_predicate(self))
-        terminated = False
+        The ``confirm_steps`` steps after legitimacy is reached are an
+        empirical closure check: if legitimacy is lost during them the count
+        restarts when it is regained, so ``first_legitimate_step`` is where
+        the final streak began.  Converged is the audited legitimacy at the
+        end, so a budget that runs out mid-confirmation while still
+        legitimate reports converged.
+        """
+        streak = self.stabilize(max_steps, hold_steps=confirm_steps)
+        return self._result(streak, streak.legitimate)
 
-        while not converged and self._step_index < max_steps:
-            record = self.step()
-            if record is None:
-                terminated = True
-                break
-            note_legitimacy()
-            if stop_predicate is not None and stop_predicate(self):
-                converged = True
-
-        # The result's verdict is confirmed against the reference predicates.
-        legitimate = self.legitimacy.audit()
-        if terminated:
-            # A terminated (silent) execution trivially converged if legitimate.
-            converged = converged or legitimate
-
+    def _result(self, streak: Streak, converged: bool) -> RunResult:
         return RunResult(
             steps=self._step_index,
             moves=self.metrics.moves,
             rounds=self._round_index,
-            terminated=terminated,
+            terminated=streak.terminated,
             converged=converged,
-            first_legitimate_step=first_legitimate_step,
-            first_legitimate_round=first_legitimate_round,
+            first_legitimate_step=streak.first_step,
+            first_legitimate_round=streak.first_round,
             configuration=self.configuration.copy(),
             metrics=self.metrics,
             trace=self.trace,
         )
-
-    def run_until_legitimate(
-        self,
-        max_steps: int = 100_000,
-        confirm_steps: int = 0,
-        raise_on_failure: bool = False,
-    ) -> RunResult:
-        """Run until the protocol's legitimacy predicate holds.
-
-        ``confirm_steps`` additional steps are executed afterwards while
-        checking that legitimacy *keeps* holding (an empirical closure check);
-        if it is violated during confirmation the run keeps going until it
-        becomes legitimate again or the budget runs out.
-        """
-
-        result = self.run(
-            max_steps=max_steps,
-            stop_predicate=lambda scheduler: scheduler.legitimacy.legitimate(),
-        )
-        if not result.converged:
-            if raise_on_failure:
-                raise ConvergenceError(
-                    f"protocol {self.protocol.name!r} did not stabilize on {self.network.name} "
-                    f"within {max_steps} steps",
-                    steps=result.steps,
-                )
-            return result
-
-        if confirm_steps > 0:
-            stabilization_step = result.first_legitimate_step
-            stabilization_round = result.first_legitimate_round
-            terminated = result.terminated
-            confirmed = 0
-            while confirmed < confirm_steps and self._step_index < max_steps:
-                record = self.step()
-                if record is None:
-                    terminated = True
-                    break
-                confirmed += 1
-                if not self.legitimacy.legitimate():
-                    # Closure violated: keep running until legitimate again.
-                    inner = self.run(
-                        max_steps=max_steps,
-                        stop_predicate=lambda scheduler: scheduler.legitimacy.legitimate(),
-                    )
-                    stabilization_step = inner.first_legitimate_step
-                    stabilization_round = inner.first_legitimate_round
-                    terminated = terminated or inner.terminated
-                    confirmed = 0
-                    if not inner.converged:
-                        if raise_on_failure:
-                            raise ConvergenceError(
-                                f"protocol {self.protocol.name!r} lost legitimacy and did not recover",
-                                steps=self._step_index,
-                            )
-                        break
-            result = RunResult(
-                steps=self._step_index,
-                moves=self.metrics.moves,
-                rounds=self._round_index,
-                terminated=terminated,
-                converged=self.legitimacy.audit(),
-                first_legitimate_step=stabilization_step,
-                first_legitimate_round=stabilization_round,
-                configuration=self.configuration.copy(),
-                metrics=self.metrics,
-                trace=self.trace,
-            )
-        return result
 
     # ------------------------------------------------------------------
     # State manipulation (fault injection, dynamic networks)
@@ -894,5 +875,6 @@ __all__ = [
     "Scheduler",
     "RunResult",
     "StepRecord",
+    "Streak",
     "first_enabled_action",
 ]

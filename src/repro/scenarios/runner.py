@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
+from repro.analysis.convergence import closure_window, step_budget
 from repro.analysis.recovery import EventRecovery, ScenarioReport, disturbed_nodes
 from repro.core.specification import VAR_EDGE_LABELS, VAR_NAME
 from repro.graphs.network import RootedNetwork
@@ -44,11 +45,13 @@ class ScenarioRunner:
         The declarative event schedule to inflict.
     phase_budget:
         Step budget for the initial stabilization and for each recovery
-        (default: the same ``500 * (n + m) + 3000`` bound the stabilization
-        harness uses).  Every stabilization is *confirmed* over a closure
-        window of ``3 * (n + m) + 10`` further steps (again matching the
-        harness), so a transiently satisfied predicate is not reported as a
-        recovery.
+        (default: :func:`~repro.analysis.convergence.step_budget`, the
+        stabilization harness's bound).  Every stabilization is *confirmed*:
+        a phase ends once legitimacy has held for
+        :func:`~repro.analysis.convergence.closure_window` further steps
+        after it was regained (the harness counts the regain step itself as
+        one of its window, so it ends one step earlier), so a transiently
+        satisfied predicate is not reported as a recovery.
     watch_variables:
         Variable names disturbance is measured over (default: the orientation
         variables ``no_eta`` / ``no_pi``); ``None`` -> every variable.
@@ -91,12 +94,8 @@ class ScenarioRunner:
         self.scenario = scenario
         self.daemon = daemon
         self.seed = seed
-        self.phase_budget = (
-            phase_budget
-            if phase_budget is not None
-            else 500 * (network.n + network.num_edges()) + 3_000
-        )
-        self.confirm_steps = 3 * (network.n + network.num_edges()) + 10
+        self.phase_budget = phase_budget if phase_budget is not None else step_budget(network)
+        self.confirm_steps = closure_window(network)
         self.watch_variables = watch_variables
         # A list, not a tuple: failure isolation disables (removes) an
         # observer that raises, here exactly as inside the scheduler.
@@ -124,16 +123,15 @@ class ScenarioRunner:
 
     def _run(self, scheduler: Scheduler, rng: random.Random) -> ScenarioReport:
         configured_daemon = scheduler.daemon.name
-        initial = scheduler.run_until_legitimate(
-            max_steps=scheduler.steps_executed + self.phase_budget,
-            confirm_steps=self.confirm_steps,
+        initial = scheduler.stabilize(
+            scheduler.steps_executed + self.phase_budget, hold_steps=self.confirm_steps
         )
         recoveries: list[EventRecovery] = []
         # Closure is only checkable when the previous phase actually
         # re-stabilized; after a failed recovery the system is already
         # illegitimate and counting those steps would misattribute a
         # convergence failure as a closure failure.
-        stabilized = initial.converged
+        stabilized = initial.legitimate
 
         for index, timed in enumerate(self.scenario.events):
             # Inter-event window: the system should *stay* legitimate (closure).
@@ -153,11 +151,10 @@ class ScenarioRunner:
 
             start_steps = scheduler.steps_executed
             start_rounds = scheduler.rounds_completed
-            recovery = scheduler.run_until_legitimate(
-                max_steps=start_steps + self.phase_budget,
-                confirm_steps=self.confirm_steps,
+            recovery = scheduler.stabilize(
+                start_steps + self.phase_budget, hold_steps=self.confirm_steps
             )
-            recovered = recovery.converged
+            recovered = recovery.legitimate
             stabilized = recovered
             record = EventRecovery(
                 index=index,
@@ -168,16 +165,8 @@ class ScenarioRunner:
                 disturbed_fraction=len(disturbed) / scheduler.network.n,
                 broke_legitimacy=broke,
                 recovered=recovered,
-                recovery_steps=(
-                    recovery.first_legitimate_step - start_steps
-                    if recovered and recovery.first_legitimate_step is not None
-                    else None
-                ),
-                recovery_rounds=(
-                    recovery.first_legitimate_round - start_rounds
-                    if recovered and recovery.first_legitimate_round is not None
-                    else None
-                ),
+                recovery_steps=recovery.first_step - start_steps if recovered else None,
+                recovery_rounds=recovery.first_round - start_rounds if recovered else None,
                 closure_violations=violations,
                 deadlocked=recovery.terminated and not recovered,
             )
@@ -192,9 +181,9 @@ class ScenarioRunner:
             edges=scheduler.network.num_edges(),
             daemon=configured_daemon,
             seed=self.seed if self.seed is not None else -1,
-            initial_converged=initial.converged,
-            initial_steps=initial.first_legitimate_step,
-            initial_rounds=initial.first_legitimate_round,
+            initial_converged=initial.legitimate,
+            initial_steps=initial.first_step,
+            initial_rounds=initial.first_round,
             events=tuple(recoveries),
             total_steps=scheduler.steps_executed,
             total_rounds=scheduler.rounds_completed,

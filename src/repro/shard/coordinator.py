@@ -203,7 +203,6 @@ class ShardedScheduler(Scheduler):
         seed: int | None = None,
         rng: random.Random | None = None,
         record_trace: bool = False,
-        trace_limit: int | None = 100_000,
         observers: Sequence[Observer] = (),
         shards: int = 2,
         partition: str = DEFAULT_STRATEGY,
@@ -220,7 +219,6 @@ class ShardedScheduler(Scheduler):
             seed=seed,
             rng=rng,
             record_trace=record_trace,
-            trace_limit=trace_limit,
             observers=observers,
             incremental=True,
             check_guard_locality=check_guard_locality,

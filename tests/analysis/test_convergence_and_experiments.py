@@ -63,6 +63,15 @@ def test_measure_layered_stabilization_unconverged_budget(small_random):
     assert sample.total_steps == 20
 
 
+def test_stabilize_row_ends_one_step_short_of_the_closure_window(small_random):
+    # The harness stops after W = 3(n+m)+10 consecutive legitimate
+    # observations, the first of them at full_steps itself.
+    window = 3 * (small_random.n + small_random.num_edges()) + 10
+    sample = measure_dftno(small_random, seed=1)
+    assert sample.converged
+    assert sample.total_steps == sample.full_steps + window - 1
+
+
 def test_height_controlled_tree_has_requested_height():
     for height in (1, 3, 7, 11):
         network = height_controlled_tree(12, height, seed=5)

@@ -274,5 +274,3 @@ def test_parameter_validation():
         HealthMonitor(cycle_window=1)
     with pytest.raises(ValueError):
         HealthMonitor(cycle_repeats=0)
-    with pytest.raises(ValueError):
-        HealthMonitor(budget_multiple=0)

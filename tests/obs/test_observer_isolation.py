@@ -113,6 +113,7 @@ def test_trace_observer_ring_buffer_keeps_the_newest_records():
     assert unbounded.trace.dropped == 0
 
 
-def test_trace_observer_max_records_takes_precedence_over_limit():
-    assert TraceObserver(limit=100, max_records=3).trace.limit == 3
-    assert TraceObserver(limit=7).trace.limit == 7
+def test_trace_observer_max_records_is_the_one_bound():
+    assert TraceObserver().trace.limit == 100_000
+    assert TraceObserver(max_records=3).trace.limit == 3
+    assert TraceObserver(max_records=None).trace.limit is None

@@ -91,12 +91,6 @@ def test_snapshot_round_trips_byte_stable():
     assert json.dumps(decoded, sort_keys=True, separators=(",", ":")) == encoded
 
 
-def test_track_legitimacy_off_skips_the_predicate():
-    observer, _ = _observed_run(track_legitimacy=False)
-    index = observer.snapshot()["columns"].index("legitimate")
-    assert all(sample[index] is None for sample in observer.samples)
-
-
 def test_sharded_run_records_shard_moves():
     network = generators.random_connected(12, seed=1)
     observer = ConvergenceTelemetryObserver(stride=4)

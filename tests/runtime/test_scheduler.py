@@ -6,7 +6,7 @@ from typing import Sequence
 
 import pytest
 
-from repro.errors import ConvergenceError, SchedulingError
+from repro.errors import SchedulingError
 from repro.graphs import generators
 from repro.graphs.network import RootedNetwork
 from repro.runtime.actions import Action
@@ -175,20 +175,7 @@ def test_run_until_legitimate_converges_from_arbitrary_state(small_random):
     assert protocol.legitimate(small_random, result.configuration)
 
 
-def test_run_until_legitimate_raises_when_budget_too_small(small_ring):
-    protocol = CountdownProtocol(start=40)
-    scheduler = Scheduler(
-        small_ring,
-        protocol,
-        daemon=CentralDaemon(),
-        configuration=protocol.initial_configuration(small_ring),
-        seed=1,
-    )
-    with pytest.raises(ConvergenceError):
-        scheduler.run_until_legitimate(max_steps=5, raise_on_failure=True)
-
-
-def test_run_until_legitimate_without_raise_returns_unconverged(small_ring):
+def test_run_until_legitimate_returns_unconverged_when_budget_too_small(small_ring):
     protocol = CountdownProtocol(start=40)
     scheduler = Scheduler(
         small_ring,
@@ -328,12 +315,16 @@ def test_scheduler_repr(small_ring):
 
 
 class TransientLegitimacyProtocol(CountdownProtocol):
-    """Legitimate only while every counter is exactly 1; terminates at 0."""
+    """Legitimate only while every counter is in ``counters``; terminates at 0."""
 
     name = "transient"
 
+    def __init__(self, start: int, counters: tuple[int, ...] = (1,)) -> None:
+        super().__init__(start)
+        self.counters = counters
+
     def legitimate(self, network: RootedNetwork, configuration: Configuration) -> bool:
-        return all(configuration.get(node, "c") == 1 for node in network.nodes())
+        return all(configuration.get(node, "c") in self.counters for node in network.nodes())
 
 
 def test_confirm_window_reports_termination_of_the_inner_run(small_ring):
@@ -351,6 +342,29 @@ def test_confirm_window_reports_termination_of_the_inner_run(small_ring):
     result = scheduler.run_until_legitimate(max_steps=1_000, confirm_steps=5)
     assert not result.converged
     assert result.terminated
+
+
+@pytest.mark.parametrize(
+    "max_steps, confirm_steps",
+    [pytest.param(1_000, 1, id="restart"), pytest.param(4, 10, id="budget-mid-confirmation")],
+)
+def test_legitimacy_lost_during_confirmation_restarts_the_count(
+    small_ring, max_steps, confirm_steps
+):
+    # Counting down from 5 synchronously, legitimacy first holds at step 1, is
+    # lost at step 2 and regained at step 3, where the count restarts.  A
+    # budget that ends mid-confirmation while legitimate still converges.
+    protocol = TransientLegitimacyProtocol(start=5, counters=(4, 2, 1, 0))
+    scheduler = Scheduler(
+        small_ring,
+        protocol,
+        daemon=SynchronousDaemon(),
+        configuration=protocol.initial_configuration(small_ring),
+    )
+    result = scheduler.run_until_legitimate(max_steps=max_steps, confirm_steps=confirm_steps)
+    assert result.converged and not result.terminated
+    assert (result.first_legitimate_step, result.first_legitimate_round) == (3, 3)
+    assert result.steps == min(3 + confirm_steps, max_steps)
 
 
 def test_set_daemon_switches_adversary_mid_run(small_ring):

@@ -119,6 +119,23 @@ def test_custom_scenario_with_zero_disturbance_recovers_instantly():
     assert event.recovery_steps == 0
 
 
+def test_scenario_phases_end_a_closure_window_after_each_regain():
+    # Unlike the harness, a scenario phase confirms for W = 3(n+m)+10 steps
+    # after the step at which legitimacy was (re)gained.
+    network = _network()
+    window = 3 * (network.n + network.num_edges()) + 10
+    delay = 5
+    scenario = Scenario(
+        name="one_burst",
+        events=(TimedEvent(CorruptionBurst(node_fraction=0.5), delay_steps=delay),),
+    )
+    report = run_scenario(network, build_dftno(), scenario, daemon=make_daemon("central"), seed=2)
+    event = report.events[0]
+    assert report.initial_converged and event.recovered and event.broke_legitimacy
+    event_step = report.initial_steps + window + delay
+    assert report.total_steps == event_step + event.recovery_steps + window
+
+
 def test_disturbed_nodes_watches_only_requested_variables():
     network = _network()
     protocol = build_dftno()
